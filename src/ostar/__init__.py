@@ -49,6 +49,7 @@ from .symclass import (
     GramMatrix,
     OrbitRecord,
     act,
+    coset_sums,
     coset_transversal,
     cycle_count,
     cyclo_rank,

@@ -313,6 +313,10 @@ def run_job(cfg: JobConfig, threads: int = 1) -> dict:
     """Execute the requested tasks in dependency order and return the
     report; deterministic for identical configs regardless of threads."""
     G, rep = build_job(cfg)
+    return _run_tasks(cfg, G, rep, threads)
+
+
+def _run_tasks(cfg, G, rep, threads):
     report = {
         "schema": REPORT_SCHEMA,
         "config": cfg.echo,
@@ -445,9 +449,8 @@ def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _write_csv_outputs(cfg, out_path: Path) -> list:
+def _write_csv_outputs(cfg, G, rep, out_path: Path) -> list:
     """Derive CSV table files next to the JSON report."""
-    G, rep = build_job(cfg)
     table = character_table(G)
     written = []
     base = out_path.with_suffix("") if out_path.suffix == ".json" else out_path
@@ -528,14 +531,15 @@ def main(argv=None) -> int:
         if fmt == "csv" and not out:
             raise ConfigError("csv output requires --out (or output.path)")
 
-        report = run_job(cfg, threads=max(1, args.threads))
+        G, rep = build_job(cfg)
+        report = _run_tasks(cfg, G, rep, max(1, args.threads))
         payload = report_bytes(report)
         if out:
             Path(out).write_bytes(payload)
         else:
             sys.stdout.write(payload.decode())
         if fmt == "csv":
-            for p in _write_csv_outputs(cfg, Path(out)):
+            for p in _write_csv_outputs(cfg, G, rep, Path(out)):
                 print(f"wrote {p}", file=sys.stderr)
         return EXIT_OK
     except ConfigError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import character_table, zero_set
-from .cyclotomic import CycloNum, SemigroupQuery, prime_factors, semigroup_member
+from .cyclotomic import SemigroupQuery, prime_factors, semigroup_member
 from .errors import BudgetError, ConsistencyError
 from .groups import (
     dihedral,
@@ -37,6 +37,7 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    coset_sums,
     coset_transversal,
     dim_symmetry_class,
     index_from_code,
@@ -129,11 +130,14 @@ def find_trivial_stabilizer_alpha(G, rep, n, m=None,
     """Lex-min multi-index with trivial stabilizer, found by an ascending
     scan when n^m fits the budget; beyond the budget the regular
     representation still yields a verified witness (a single distinguished
-    letter at the identity's position) without scanning."""
+    letter at the identity's position) without scanning.  An unfaithful
+    representation has none: its kernel lies in every stabilizer."""
     if m is None:
         m = rep.degree
     if m < rep.degree:
         raise ValueError(f"m = {m} is below the representation degree {rep.degree}")
+    if not rep.is_faithful():
+        return TrivialStabilizerSearch(None, True, False)
     total = n**m
     nonid = [g for g in G.elements() if g != G.identity]
     if total <= index_budget:
@@ -372,16 +376,13 @@ def brute_force_verify(G, rep, chi, n, m=None,
                 "clique": None,
                 "budget_exceeded": True,
             }
+        sums = coset_sums(chi, G, record.stabilizer)
         nvert = len(reps)
         invs = [G.inv(r) for r in reps]
         adj = [[False] * nvert for _ in range(nvert)]
         for i in range(nvert):
             for j in range(i + 1, nvert):
-                g = G.mul(reps[j], invs[i])
-                acc = CycloNum.zero()
-                for h in record.stabilizer:
-                    acc = acc + chi.value(G.mul(g, h))
-                if acc.is_zero():
+                if sums[G.mul(reps[j], invs[i])].is_zero():
                     adj[i][j] = adj[j][i] = True
         clique = _find_clique(adj, record.s_alpha)
         return {

@@ -44,7 +44,6 @@ __all__ = [
 
 ELEMENT_CAP = 2000   # hard cap for element enumeration
 SUBGROUP_CAP = 200   # hard cap for subgroup-lattice enumeration
-PAIR_CHECK_CAP = 200 # exhaustive pairwise homomorphism checks up to this order
 
 
 # -- permutation helpers ------------------------------------------------------
@@ -429,27 +428,10 @@ class SemidirectGroup:
 
 
 def build_semidirect(A, H, phi, origin="semidirect") -> SemidirectGroup:
-    """Assemble A x|_phi H; phi must already be a validated ActionHom.
-
-    For small orders this also sanity-checks that the two canonical subsets
-    are subgroups and that the A-part is normal.
-    """
-    G = SemidirectGroup(A, H, phi, origin=origin)
-    if G.order <= PAIR_CHECK_CAP:
-        e_a, e_h = A.identity, H.identity
-        a_part = {(a, e_h) for a in A.elements()}
-        h_part = {(e_a, h) for h in H.elements()}
-        for part in (a_part, h_part):
-            for x in part:
-                for y in part:
-                    if G.mul(x, y) not in part:
-                        raise ValueError("canonical subset is not a subgroup")
-        for g in G.elements():
-            gi = G.inv(g)
-            for x in a_part:
-                if G.mul(G.mul(gi, x), g) not in a_part:
-                    raise ValueError("the A-part is not normal")
-    return G
+    """Assemble A x|_phi H; phi must already be a validated ActionHom.  A
+    validated action is a homomorphism H -> Aut(A), which makes the product
+    a group with A normal and H a complement, so nothing is re-checked."""
+    return SemidirectGroup(A, H, phi, origin=origin)
 
 
 # -- permutation representations ----------------------------------------------
@@ -457,11 +439,8 @@ def build_semidirect(A, H, phi, origin="semidirect") -> SemidirectGroup:
 
 class PermRep:
     """Permutation representation of a semidirect product, by 0-based image
-    permutations of the standard generators of A and of H.
-
-    The induced map is checked to be a homomorphism over all element pairs
-    for small groups (deterministically sampled pairs beyond that).
-    """
+    permutations of the standard generators of A and of H, checked at
+    construction to induce a homomorphism (see is_homomorphism)."""
 
     def __init__(self, group, a_images, h_images, kind="explicit", check=True,
                  degree=None):
@@ -512,16 +491,15 @@ class PermRep:
         return p
 
     def is_homomorphism(self) -> bool:
-        elems = self.group.elements()
-        if self.group.order > PAIR_CHECK_CAP:
-            sample = elems[:PAIR_CHECK_CAP]
-            pairs = [(x, y) for x in sample for y in self.group.generators()]
-            pairs += [(y, x) for x in sample for y in self.group.generators()]
-        else:
-            pairs = [(x, y) for x in elems for y in elems]
+        """perm(x s) == perm(x) perm(s) for every element x and generator s.
+        Complete: every y is a word in the generators, so induction on its
+        length gives perm(x y) == perm(x) perm(y) for all x, y."""
+        G = self.group
+        gens = [(s, self.perm(s)) for s in G.generators()]
         return all(
-            self.perm(self.group.mul(x, y)) == pmul(self.perm(x), self.perm(y))
-            for x, y in pairs
+            self.perm(G.mul(x, s)) == pmul(self.perm(x), ps)
+            for x in G.elements()
+            for s, ps in gens
         )
 
     def is_faithful(self) -> bool:

@@ -30,6 +30,7 @@ __all__ = [
     "cycle_count",
     "orbit_scan",
     "dim_symmetry_class",
+    "coset_sums",
     "inner_product",
     "coset_transversal",
     "gram",
@@ -174,15 +175,25 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     return int(q)
 
 
+def coset_sums(chi, G, stab) -> dict:
+    """The map g -> sum of chi(g h) over h in the subgroup stab, for every
+    g in G.  The sum depends only on the left coset g stab, so each coset
+    is summed once: |G| character values in all."""
+    sums = {}
+    for g in G.elements():
+        if g not in sums:
+            coset = [G.mul(g, h) for h in stab]
+            acc = sum(map(chi.value, coset), CycloNum.zero())
+            sums.update(dict.fromkeys(coset, acc))
+    return sums
+
+
 def inner_product(alpha, g, chi, G, rep, stab=None) -> CycloNum:
     """<e*_alpha, e*_{alpha.g}> = chi(e)/|G| times the sum of chi(g h) over
     the stabilizer of alpha."""
     if stab is None:
         stab = stabilizer(alpha, G, rep)
-    acc = CycloNum.zero()
-    for h in stab:
-        acc = acc + chi.value(G.mul(g, h))
-    return acc * Fraction(chi.degree, G.order)
+    return coset_sums(chi, G, stab)[g] * Fraction(chi.degree, G.order)
 
 
 def inner_product_pair(alpha, beta, chi, G, rep) -> CycloNum:
@@ -239,29 +250,19 @@ class GramMatrix:
 def gram(alpha, chi, G, rep) -> GramMatrix:
     """Gram matrix of {e*_{alpha.sigma}} over coset representatives; alpha
     must lie in Delta-bar."""
-    stab = stabilizer(alpha, G, rep)
-    ssum = CycloNum.zero()
-    for h in stab:
-        ssum = ssum + chi.value(h)
-    if ssum.is_zero():
+    sums = coset_sums(chi, G, stabilizer(alpha, G, rep))
+    if sums[G.identity].is_zero():
         raise ValueError(
             f"{alpha} is not in Delta-bar for this character; its symmetrized "
             f"tensor vanishes"
         )
     reps = coset_transversal(alpha, G, rep)
     scale = Fraction(chi.degree, G.order)
-    invs = [G.inv(r) for r in reps]
-    rows = []
-    for i in range(len(reps)):
-        row = []
-        for j in range(len(reps)):
-            g = G.mul(reps[j], invs[i])
-            acc = CycloNum.zero()
-            for h in stab:
-                acc = acc + chi.value(G.mul(g, h))
-            row.append(acc * scale)
-        rows.append(tuple(row))
-    return GramMatrix(tuple(reps), tuple(rows))
+    rows = tuple(
+        tuple(sums[G.mul(rj, ri_inv)] * scale for rj in reps)
+        for ri_inv in map(G.inv, reps)
+    )
+    return GramMatrix(tuple(reps), rows)
 
 
 def cyclo_rank(rows) -> int:

@@ -1,6 +1,10 @@
 """Config parsing, job execution, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +244,28 @@ def test_main_validate_bad_config(tmp_path, capsys):
     p = write_cfg(tmp_path, {"family": {"pq": {"p": 3, "q": 7, "r": 3}}})
     assert main(["validate", str(p)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_validate_rejects_non_homomorphism_beyond_order_200(tmp_path, capsys):
+    # C_101 x C_2 with the order-101 generator sent to a transposition: the
+    # images break the homomorphism only at the last A-element, 100 + 1 = 0
+    p = write_cfg(tmp_path, {"A": [101], "H": [2], "phi": [[[1]]],
+                             "rep": {"explicit": {"degree": 2, "A": [[2, 1]],
+                                                  "H": [[1, 2]]}}})
+    assert main(["validate", str(p)]) == EXIT_CONFIG
+    assert "homomorphism" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_cli(tmp_path):
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}})
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ostar", "validate", str(p)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_OK
+    assert done.stdout == "ok\n"
+    assert done.stderr == ""
 
 
 def test_main_missing_file(capsys):

@@ -27,6 +27,7 @@ from ostar.decide import (
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
+    PermRep,
     WreathSpec,
     build_semidirect,
     build_wreath,
@@ -85,6 +86,17 @@ def test_find_alpha_budget_without_fast_path():
     G = group_pq(3, 7, 2)
     s = find_trivial_stabilizer_alpha(G, G.natural_rep, 3, index_budget=10)
     assert s.alpha is None and not s.proven_none and not s.fast_path
+
+
+def test_find_alpha_unfaithful_rep_proven_none_beyond_budget():
+    # D12 = C_6 x| C_2 acting on 3 points through S_3: the rotation by 3
+    # acts trivially, so it lies in every stabilizer at any n and m
+    G = dihedral(6)
+    rep = PermRep(G, ((1, 2, 0),), ((0, 2, 1),))
+    assert not rep.is_faithful()
+    s = find_trivial_stabilizer_alpha(G, rep, 4, m=6, index_budget=100)
+    assert s.alpha is None and s.proven_none and not s.fast_path
+    assert s.to_json()["status"] == "proven_none"
 
 
 # -- main criterion -----------------------------------------------------------------

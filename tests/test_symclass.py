@@ -25,6 +25,7 @@ from ostar.groups import (
 from ostar.characters import character_table
 from ostar.symclass import (
     act,
+    coset_sums,
     coset_transversal,
     cycle_count,
     cyclo_rank,
@@ -40,6 +41,8 @@ from ostar.symclass import (
     stabilizer,
     tensor_inner,
 )
+from test_acceptance import TABLE_SUITE, group as suite_group
+from test_random_products import sample_groups
 
 
 def trivial_group():
@@ -212,6 +215,42 @@ def test_cycle_count_examples():
 
 
 # -- inner products ----------------------------------------------------------------
+
+
+def coset_sum_cases():
+    """(label, G, rep): the acceptance table suite's groups whose natural
+    representation has degree <= 7, and the random sweep's groups under the
+    regular representation it uses."""
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        if G.natural_rep.degree <= 7:
+            yield name, G, G.natural_rep
+    for seed in (1, 2):
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12)):
+            yield f"random{seed}.{i}", G, regular_rep(G)
+
+
+def test_coset_sums_match_stabilizer_loop():
+    # coset_sums replaced this loop in gram, inner_product and the
+    # brute-force oracle; values and conductors must match for every g
+    checked = 0
+    for label, G, rep in coset_sum_cases():
+        chars = character_table(G).chars
+        for n in (2, 3):
+            stabs = {r.stabilizer for r in orbit_scan(G, rep, chars[0], rep.degree, n)}
+            for stab in stabs:
+                for chi in chars:
+                    sums = coset_sums(chi, G, stab)
+                    assert len(sums) == G.order, (label, n, stab)
+                    for g in G.elements():
+                        acc = CycloNum.zero()
+                        for h in stab:
+                            acc = acc + chi.value(G.mul(g, h))
+                        got = sums[g]
+                        assert got == acc and got.conductor == acc.conductor, (
+                            label, n, stab, g)
+                        checked += 1
+    assert checked > 0
 
 
 def test_inner_product_examples():
