@@ -8,9 +8,10 @@ evaluates at (a, h) to
     U(h) / |H_x| * sum over h' in H of x(phi_{h'}(a))   if h lies in H_x,
     0                                                   otherwise.
 
-All values are exact CycloNums.  `character_table` bundles the characters
-of a group with the completeness and orthogonality report that guards every
-downstream decision.
+All values are exact CycloNums, and an IrredChar stores them once per
+conjugacy class (`values`, in `G.conjugacy_classes()` order) when it is
+built.  `character_table` bundles the characters of a group with the
+completeness and orthogonality report that guards every downstream decision.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class DualOrbit:
         self.stabilizer = stabilizer
         self.phi = phi
         self.H = H
-        self._sums = {}
 
     def __repr__(self):
         return (
@@ -110,16 +110,12 @@ class DualOrbit:
 
     def sum_over_H(self, a) -> CycloNum:
         """Sum of x(phi_h(a)) over every h in H; independent of the choice
-        of orbit member, so computed once per a against the representative."""
-        v = self._sums.get(a)
-        if v is None:
-            E = self.rep.group.exponent
-            counts = [0] * E
-            for h in self.H.elements():
-                counts[self.rep.value_exponent(self.phi.apply(h, a))] += 1
-            v = CycloNum.from_coeffs(E, counts)
-            self._sums[a] = v
-        return v
+        of orbit member, so computed against the representative."""
+        E = self.rep.group.exponent
+        counts = [0] * E
+        for h in self.H.elements():
+            counts[self.rep.value_exponent(self.phi.apply(h, a))] += 1
+        return CycloNum.from_coeffs(E, counts)
 
 
 def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualOrbit, ...]:
@@ -241,7 +237,9 @@ def dual_of_subgroup(sub, H: AbelianGroup) -> tuple[LinearChar, ...]:
 
 class IrredChar:
     """Irreducible character of G = A x| H attached to a dual orbit [x] and
-    a linear character U of the stabilizer H_x; degree [H : H_x]."""
+    a linear character U of the stabilizer H_x; degree [H : H_x].  `values`
+    holds its exact value at each class of `G.conjugacy_classes()`, evaluated
+    once at the class's first element."""
 
     def __init__(self, G: SemidirectGroup, orbit: DualOrbit, u: LinearChar):
         self.G = G
@@ -249,7 +247,9 @@ class IrredChar:
         self.u = u
         self.degree = G.H.order // len(orbit.stabilizer)
         self._stab_set = frozenset(orbit.stabilizer)
-        self._by_class = {}
+        self.values = tuple(
+            self.value_uncached(cls[0]) for cls in G.conjugacy_classes()
+        )
 
     def __repr__(self):
         return (
@@ -261,16 +261,12 @@ class IrredChar:
         return self.degree == 1
 
     def value(self, g) -> CycloNum:
-        """Exact value at g, memoized per conjugacy class."""
-        i = self.G.class_index(g)
-        v = self._by_class.get(i)
-        if v is None:
-            v = self.value_uncached(self.G.conjugacy_classes()[i][0])
-            self._by_class[i] = v
-        return v
+        """Exact value at g: the stored value of its conjugacy class."""
+        return self.values[self.G.class_index(g)]
 
     def value_uncached(self, g) -> CycloNum:
-        """Direct evaluation at g, bypassing the class memo."""
+        """Direct evaluation at g from the induced-character formula, not
+        read from the stored class values."""
         a, h = g
         if h not in self._stab_set:
             return CycloNum.zero()
@@ -326,6 +322,8 @@ class TableReport:
 def validate_table(chars, G: SemidirectGroup) -> TableReport:
     """Exact completeness, first-orthogonality and conjugate-symmetry checks.
 
+    Characters are class functions, so the sums run over classes weighted
+    by class size and conjugate symmetry is checked at class representatives.
     Any failure here must abort downstream decisions for the group.
     """
     checks = {}
@@ -340,18 +338,18 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
         failures.append(f"sum of squared degrees is {total}, expected {G.order}")
 
     ortho_ok = True
-    elems = G.elements()
+    classes = G.conjugacy_classes()
     for i in range(len(chars)):
         for j in range(i, len(chars)):
             s = CycloNum.zero()
-            for g in elems:
-                a = chars[i].value(g)
+            for cls in classes:
+                a = chars[i].value(cls[0])
                 if a.is_zero():
                     continue
-                b = chars[j].value(g)
+                b = chars[j].value(cls[0])
                 if b.is_zero():
                     continue
-                s = s + a * b.conj()
+                s = s + a * b.conj() * len(cls)
             expected = G.order if i == j else 0
             if s != expected:
                 ortho_ok = False
@@ -360,7 +358,8 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
 
     sym_ok = True
     for idx, chi in enumerate(chars):
-        for g in elems:
+        for cls in classes:
+            g = cls[0]
             if chi.value(G.inv(g)) != chi.value(g).conj():
                 sym_ok = False
                 failures.append(f"conjugate symmetry failed for character {idx} at {g}")

@@ -26,15 +26,13 @@ from .groups import (
     AbelianGroup,
     ActionHom,
     Automorphism,
+    FAMILIES,
     PermRep,
     SUBGROUP_CAP,
     WreathSpec,
     build_semidirect,
     build_wreath,
-    dihedral,
-    group_pq,
     regular_rep,
-    z_group,
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
@@ -163,14 +161,14 @@ def parse_config(text: str) -> JobConfig:
     else:
         fam = doc["family"]
         _expect(isinstance(fam, dict) and len(fam) == 1, "$.family",
-                "expected exactly one of dihedral | pq | z_group")
+                f"expected exactly one of {' | '.join(FAMILIES)}")
         name = next(iter(fam))
         params = fam[name]
         _expect(isinstance(params, dict), f"$.family.{name}", "expected an object")
-        wanted = {"dihedral": {"s"}, "pq": {"p", "q", "r"}, "z_group": {"s", "t", "r"}}
-        _expect(name in wanted, f"$.family.{name}", "unknown family")
-        _expect(set(params) == wanted[name], f"$.family.{name}",
-                f"expected exactly the keys {sorted(wanted[name])}")
+        _expect(name in FAMILIES, f"$.family.{name}", "unknown family")
+        keys = FAMILIES[name][1]
+        _expect(set(params) == set(keys), f"$.family.{name}",
+                f"expected exactly the keys {sorted(keys)}")
         for k, v in params.items():
             _pos_int(v, f"$.family.{name}.{k}")
         payload = {name: dict(params)}
@@ -262,12 +260,8 @@ def build_job(cfg: JobConfig):
             G = build_wreath(spec)
         else:
             (name, params), = cfg.group_payload.items()
-            if name == "dihedral":
-                G = dihedral(params["s"])
-            elif name == "pq":
-                G = group_pq(params["p"], params["q"], params["r"])
-            else:
-                G = z_group(params["s"], params["t"], params["r"])
+            ctor, keys = FAMILIES[name]
+            G = ctor(*(params[k] for k in keys))
 
         if cfg.rep_spec == "natural":
             if G.natural_rep is None:
@@ -313,10 +307,12 @@ def run_job(cfg: JobConfig, threads: int = 1) -> dict:
     """Execute the requested tasks in dependency order and return the
     report; deterministic for identical configs regardless of threads."""
     G, rep = build_job(cfg)
-    return _run_tasks(cfg, G, rep, threads)
+    return _run_tasks(cfg, G, rep, threads)[0]
 
 
 def _run_tasks(cfg, G, rep, threads):
+    """The report and the orbit records per character (None without the
+    orbits and dims tasks), which those tasks and the CSV export share."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": cfg.echo,
@@ -335,7 +331,7 @@ def _run_tasks(cfg, G, rep, threads):
         "tasks": {},
     }
     if not cfg.tasks:
-        return report
+        return report, None
 
     table = character_table(G)
     if not table.report.ok:
@@ -361,6 +357,12 @@ def _run_tasks(cfg, G, rep, threads):
     m_eff = cfg.m if cfg.m is not None else rep.degree
     rep_eff = rep.extended(m_eff) if m_eff > rep.degree else rep
     n = cfg.n
+    scans = None
+    if "orbits" in cfg.tasks or "dims" in cfg.tasks:
+        scans = [
+            orbit_scan(G, rep_eff, chi, m_eff, n, index_budget=cfg.index_budget)
+            for chi in table.chars
+        ]
 
     decisions = {}
 
@@ -377,15 +379,12 @@ def _run_tasks(cfg, G, rep, threads):
                     for cls in classes
                 ],
                 "values": [
-                    [cyclo_json(chi.value(cls[0])) for cls in classes]
-                    for chi in table.chars
+                    [cyclo_json(v) for v in chi.values] for chi in table.chars
                 ],
             }
         elif task == "orbits":
             per_char = []
-            for i, chi in enumerate(table.chars):
-                records = orbit_scan(G, rep_eff, chi, m_eff, n,
-                                     index_budget=cfg.index_budget)
+            for i, records in enumerate(scans):
                 per_char.append({
                     "char_index": i,
                     "records": [
@@ -402,10 +401,8 @@ def _run_tasks(cfg, G, rep, threads):
             report["tasks"]["orbits"] = {"per_character": per_char}
         elif task == "dims":
             per_char = []
-            for i, chi in enumerate(table.chars):
+            for i, (chi, records) in enumerate(zip(table.chars, scans)):
                 d = dim_symmetry_class(G, rep_eff, chi, n)
-                records = orbit_scan(G, rep_eff, chi, m_eff, n,
-                                     index_budget=cfg.index_budget)
                 total = sum(r.s_alpha for r in records if r.in_delta_bar)
                 if total != d:
                     raise ConsistencyError(
@@ -442,14 +439,14 @@ def _run_tasks(cfg, G, rep, threads):
                     "agrees_with_decide": agrees,
                 })
             report["tasks"]["verify"] = {"per_character": per_char}
-    return report
+    return report, scans
 
 
 def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
 
 
-def _write_csv_outputs(cfg, G, rep, out_path: Path) -> list:
+def _write_csv_outputs(cfg, G, scans, out_path: Path) -> list:
     """Derive CSV table files next to the JSON report."""
     table = character_table(G)
     written = []
@@ -460,11 +457,7 @@ def _write_csv_outputs(cfg, G, rep, out_path: Path) -> list:
             export_chartable_csv(G, table.chars, fh)
         written.append(p)
     if "orbits" in cfg.tasks:
-        m_eff = cfg.m if cfg.m is not None else rep.degree
-        rep_eff = rep.extended(m_eff) if m_eff > rep.degree else rep
-        for i, chi in enumerate(table.chars):
-            records = orbit_scan(G, rep_eff, chi, m_eff, cfg.n,
-                                 index_budget=cfg.index_budget)
+        for i, records in enumerate(scans):
             p = base.with_name(base.name + f".orbits.chi{i}.csv")
             with open(p, "w", newline="") as fh:
                 export_orbits_csv(records, fh)
@@ -532,14 +525,14 @@ def main(argv=None) -> int:
             raise ConfigError("csv output requires --out (or output.path)")
 
         G, rep = build_job(cfg)
-        report = _run_tasks(cfg, G, rep, max(1, args.threads))
+        report, scans = _run_tasks(cfg, G, rep, max(1, args.threads))
         payload = report_bytes(report)
         if out:
             Path(out).write_bytes(payload)
         else:
             sys.stdout.write(payload.decode())
         if fmt == "csv":
-            for p in _write_csv_outputs(cfg, G, rep, Path(out)):
+            for p in _write_csv_outputs(cfg, G, scans, Path(out)):
                 print(f"wrote {p}", file=sys.stderr)
         return EXIT_OK
     except ConfigError as exc:

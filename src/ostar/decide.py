@@ -16,8 +16,9 @@ provides:
   * brute_force_verify - an independent exact oracle that searches each
     orbital subspace for s_alpha pairwise-orthogonal symmetrized tensors.
 
-Every verdict carries machine-checkable witnesses.  "Proven absent" and
-"not found within budget" are always kept distinct.
+Multi-indices have length rep.degree; pass rep.extended(m) to decide at a
+larger m.  Every verdict carries machine-checkable witnesses.  "Proven
+absent" and "not found within budget" are always kept distinct.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .characters import character_table, zero_set
 from .cyclotomic import SemigroupQuery, prime_factors, semigroup_member
 from .errors import BudgetError, ConsistencyError
 from .groups import (
-    dihedral,
+    FAMILIES,
     enumerate_subgroups,
-    group_pq,
     regular_rep,
-    z_group,
     SUBGROUP_CAP,
 )
 from .symclass import (
@@ -184,7 +183,7 @@ def _semigroup_facts(G):
     return {"k": k, "primes": list(primes), "member": member}
 
 
-def decide_main_theorem(G, rep, chi, n, m=None,
+def decide_main_theorem(G, rep, chi, n,
                         index_budget=DEFAULT_INDEX_BUDGET) -> Verdict:
     """Both hypotheses are established computationally before anything is
     asserted: a trivial-stabilizer multi-index and |H| outside
@@ -193,8 +192,7 @@ def decide_main_theorem(G, rep, chi, n, m=None,
     Admits."""
     _require_validated(G, chi)
     justification = WREATH_COROLLARY if G.origin == "wreath" else MAIN_THEOREM
-    rep_eff = rep if m is None else rep.extended(m)
-    dim = dim_symmetry_class(G, rep_eff, chi, n)
+    dim = dim_symmetry_class(G, rep, chi, n)
     if dim == 0:
         return Verdict(
             INCONCLUSIVE,
@@ -203,9 +201,7 @@ def decide_main_theorem(G, rep, chi, n, m=None,
         )
     if chi.degree == 1:
         return Verdict(ADMITS, LINEAR_CHARACTER, {"degree": 1, "dim": dim})
-    search = find_trivial_stabilizer_alpha(
-        G, rep, n, m=m, index_budget=index_budget
-    )
+    search = find_trivial_stabilizer_alpha(G, rep, n, index_budget=index_budget)
     sg = _semigroup_facts(G)
     witness = {"alpha_search": search.to_json(), "semigroup": sg, "dim": dim}
     if search.alpha is not None and not sg["member"]:
@@ -236,17 +232,12 @@ def decide_named_family(family, params, chi_index, n, rep_kind="natural",
     """Build the named group, pick the chi_index-th character of its
     deterministic table, and run the semidirect criterion; nothing from the
     family statement is trusted without re-verification."""
-    if family == "dihedral_odd_s":
-        s = params["s"]
-        if s % 2 == 0:
-            raise ValueError(f"family dihedral_odd_s requires odd s, got {s}")
-        G = dihedral(s)
-    elif family == "pq":
-        G = group_pq(params["p"], params["q"], params["r"])
-    elif family == "z_group":
-        G = z_group(params["s"], params["t"], params["r"])
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    if family == "dihedral_odd_s" and params["s"] % 2 == 0:
+        raise ValueError(f"family dihedral_odd_s requires odd s, got {params['s']}")
+    ctor, keys = FAMILIES["dihedral" if family == "dihedral_odd_s" else family]
+    G = ctor(*(params[k] for k in keys))
     rep = G.natural_rep if rep_kind == "natural" else regular_rep(G)
     table = character_table(G)
     chi = table.chars[chi_index]
@@ -258,7 +249,7 @@ def decide_named_family(family, params, chi_index, n, rep_kind="natural",
     return Verdict(verdict.status, NAMED_FAMILY, witness, verdict.per_orbit)
 
 
-def decide_subgroup_criterion(G, rep, chi, n, m=None,
+def decide_subgroup_criterion(G, rep, chi, n,
                               subgroup_bound=SUBGROUP_CAP,
                               index_budget=DEFAULT_INDEX_BUDGET) -> Verdict:
     """Non-existence when some multi-index has trivial stabilizer and some
@@ -270,7 +261,7 @@ def decide_subgroup_criterion(G, rep, chi, n, m=None,
             SUBGROUP_CRITERION,
             {"reason": "no subgroup can have index below 1 (linear character)"},
         )
-    search = find_trivial_stabilizer_alpha(G, rep, n, m=m, index_budget=index_budget)
+    search = find_trivial_stabilizer_alpha(G, rep, n, index_budget=index_budget)
     if search.alpha is None:
         return Verdict(
             INCONCLUSIVE,
@@ -340,7 +331,7 @@ def _find_clique(adj, k):
     return grow([], order)
 
 
-def brute_force_verify(G, rep, chi, n, m=None,
+def brute_force_verify(G, rep, chi, n,
                        index_budget=DEFAULT_INDEX_BUDGET,
                        vertex_budget=DEFAULT_VERTEX_BUDGET,
                        threads=1) -> Verdict:
@@ -354,10 +345,8 @@ def brute_force_verify(G, rep, chi, n, m=None,
     in exactly one of them, so no global search across orbits is needed.
     """
     _require_validated(G, chi)
-    rep_eff = rep if m is None else rep.extended(m)
-    m_eff = rep_eff.degree
     try:
-        records = orbit_scan(G, rep_eff, chi, m_eff, n, index_budget=index_budget)
+        records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
     except BudgetError as exc:
         return Verdict(INCONCLUSIVE, BRUTE_FORCE, {"budget_refused": str(exc)})
     bar = [r for r in records if r.in_delta_bar]
@@ -368,7 +357,7 @@ def brute_force_verify(G, rep, chi, n, m=None,
 
     def handle(record):
         alpha = record.rep
-        reps = coset_transversal(alpha, G, rep_eff)
+        reps = coset_transversal(alpha, G, rep)
         if len(reps) > vertex_budget:
             return {
                 "rep": list(alpha),
@@ -428,17 +417,17 @@ def brute_force_verify(G, rep, chi, n, m=None,
     )
 
 
-def decide_pipeline(G, rep, chi, n, m=None,
+def decide_pipeline(G, rep, chi, n,
                     index_budget=DEFAULT_INDEX_BUDGET,
                     subgroup_bound=SUBGROUP_CAP) -> Verdict:
     """Cheapest sound certificate first: linear short-circuit inside the
     semidirect criterion, then the subgroup criterion; the brute-force
     oracle is separate (see brute_force_verify)."""
-    v = decide_main_theorem(G, rep, chi, n, m=m, index_budget=index_budget)
+    v = decide_main_theorem(G, rep, chi, n, index_budget=index_budget)
     if v.status != INCONCLUSIVE or v.witness.get("zero_dimension"):
         return v
     v2 = decide_subgroup_criterion(
-        G, rep, chi, n, m=m,
+        G, rep, chi, n,
         subgroup_bound=subgroup_bound, index_budget=index_budget,
     )
     if v2.status != INCONCLUSIVE:

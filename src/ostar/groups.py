@@ -23,6 +23,7 @@ from .cyclotomic import prime_factors
 __all__ = [
     "ELEMENT_CAP",
     "SUBGROUP_CAP",
+    "FAMILIES",
     "AbelianGroup",
     "Automorphism",
     "ActionHom",
@@ -628,6 +629,14 @@ def z_group(s: int, t: int, r: int) -> SemidirectGroup:
     return G
 
 
+# Named families: constructor and its integer parameter names, in call order.
+FAMILIES = {
+    "dihedral": (dihedral, ("s",)),
+    "pq": (group_pq, ("p", "q", "r")),
+    "z_group": (z_group, ("s", "t", "r")),
+}
+
+
 # -- wreath products -------------------------------------------------------------
 
 
@@ -724,7 +733,9 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
 
 def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
     """The complete subgroup lattice as frozensets of elements, computed by
-    closing the cyclic subgroups under pairwise join until a fixpoint.
+    cyclic extension from {e}: each subgroup S adds <gens(S), g> for one g
+    per right coset S g outside S.  Every subgroup tops a chain of cyclic
+    extensions from {e}, and <S, g> = <S, s g> for s in S, so all are found.
 
     Refuses loudly (never answers partially) when |G| exceeds the bound.
     """
@@ -732,20 +743,19 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
         raise BudgetError(
             f"subgroup enumeration refused: |G| = {G.order} exceeds bound {bound}"
         )
-    subs = {frozenset(G.cyclic(g)) for g in G.elements()}
-    frontier = list(subs)
-    while frontier:
-        fresh = []
-        for S in frontier:
-            for T in list(subs):
-                if S <= T or T <= S:
-                    continue
-                J = frozenset(G.closure(S | T))
-                if J not in subs:
-                    subs.add(J)
-                    fresh.append(J)
-        frontier = fresh
-    for S in subs:
+    gens_of = {frozenset((G.identity,)): ()}
+    queue = list(gens_of)
+    for S in queue:  # grows while it is walked
+        covered = set(S)
+        for g in G.elements():
+            if g not in covered:
+                covered.update(G.mul(s, g) for s in S)
+                gens = gens_of[S] + (g,)
+                T = frozenset(G.closure(gens))
+                if T not in gens_of:
+                    gens_of[T] = gens
+                    queue.append(T)
+    for S in gens_of:
         for x in S:
             if G.inv(x) not in S:
                 raise AssertionError("subgroup closure failed under inverses")
@@ -753,5 +763,5 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
                 if G.mul(x, y) not in S:
                     raise AssertionError("subgroup closure failed under products")
     return tuple(
-        sorted(subs, key=lambda S: (len(S), sorted(map(G.element_code, S))))
+        sorted(gens_of, key=lambda S: (len(S), sorted(map(G.element_code, S))))
     )

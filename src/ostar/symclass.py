@@ -78,7 +78,7 @@ def cycle_count(g, rep: PermRep) -> int:
     return perm_cycle_count(rep.perm(g))
 
 
-@dataclass
+@dataclass(slots=True)
 class OrbitRecord:
     """One orbit of Gamma_{m,n}: lex-min representative, size, stabilizer,
     the stabilizer character sum, whether the orbit survives into
@@ -159,12 +159,14 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
 
 def dim_symmetry_class(G, rep, chi, n) -> int:
     """chi(e)/|G| times the sum over the group of chi(g) n^(cycle count);
-    must come out an exact nonnegative integer."""
+    must come out an exact nonnegative integer.  Both factors are class
+    functions (conjugate permutations share a cycle type), so the sum runs
+    over conjugacy classes weighted by class size."""
     total = CycloNum.zero()
-    for g in G.elements():
-        v = chi.value(g)
+    for cls in G.conjugacy_classes():
+        v = chi.value(cls[0])
         if not v.is_zero():
-            total = total + v * (n ** cycle_count(g, rep))
+            total = total + v * (len(cls) * n ** cycle_count(cls[0], rep))
     total = total * Fraction(chi.degree, G.order)
     try:
         q = total.as_fraction()

@@ -20,6 +20,7 @@ from ostar.characters import (
     dual_orbits,
     export_chartable_csv,
     irred_chars,
+    TableReport,
     validate_table,
     zero_set,
 )
@@ -34,6 +35,8 @@ from ostar.groups import (
     group_pq,
     z_group,
 )
+from test_acceptance import TABLE_SUITE, group as suite_group
+from test_random_products import sample_groups
 
 
 def direct_product(a_factors, h_factors):
@@ -377,6 +380,95 @@ def test_validate_table_negative_control():
     assert not report.ok
     assert not report.checks["orthogonality"]
     assert any("orthogonality" in f for f in report.failures)
+
+
+def test_validate_table_conjugate_symmetry_negative_control():
+    # lying at a class C with C^-1 != C breaks chi(g^-1) = conj(chi(g))
+    G = group_pq(3, 7, 2)
+    bad = next(
+        c for c, cls in enumerate(G.conjugacy_classes())
+        if G.class_index(G.inv(cls[0])) != c
+    )
+    chars = list(character_table(G).chars)
+    chars[1] = _Corrupted(chars[1], bad_class=bad)
+    report = validate_table(chars, G)
+    assert not report.checks["conjugate_symmetry"]
+    assert any(f.startswith("conjugate symmetry failed for character 1 at ")
+               for f in report.failures)
+
+
+def class_function_groups():
+    """(label, G): the acceptance table suite's groups and the random
+    sweep's groups."""
+    for name in TABLE_SUITE:
+        yield name, suite_group(name)
+    for seed in (1, 2):
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12)):
+            yield f"random{seed}.{i}", G
+
+
+def per_element_report(chars, G):
+    """validate_table with every sum taken over all group elements, as it
+    was computed before the class-weighted sums; the reference for them."""
+    checks = {}
+    failures = []
+    total = CycloNum.zero()
+    for chi in chars:
+        v = chi.value(G.identity)
+        total = total + v * v
+    checks["degree_sum"] = total == G.order
+    if not checks["degree_sum"]:
+        failures.append(f"sum of squared degrees is {total}, expected {G.order}")
+    ortho_ok = True
+    elems = G.elements()
+    for i in range(len(chars)):
+        for j in range(i, len(chars)):
+            s = CycloNum.zero()
+            for g in elems:
+                a = chars[i].value(g)
+                if a.is_zero():
+                    continue
+                b = chars[j].value(g)
+                if b.is_zero():
+                    continue
+                s = s + a * b.conj()
+            if s != (G.order if i == j else 0):
+                ortho_ok = False
+                failures.append(f"orthogonality failed for characters {i}, {j}: {s}")
+    checks["orthogonality"] = ortho_ok
+    sym_ok = True
+    for idx, chi in enumerate(chars):
+        for g in elems:
+            if chi.value(G.inv(g)) != chi.value(g).conj():
+                sym_ok = False
+                failures.append(f"conjugate symmetry failed for character {idx} at {g}")
+                break
+    checks["conjugate_symmetry"] = sym_ok
+    return TableReport(checks, failures)
+
+
+def test_stored_class_values_match_direct_evaluation():
+    for label, G in class_function_groups():
+        classes = G.conjugacy_classes()
+        for chi in character_table(G).chars:
+            assert len(chi.values) == len(classes), label
+            for c, cls in enumerate(classes):
+                assert chi.values[c] == chi.value_uncached(cls[0]), (label, c)
+                assert chi.value(cls[-1]) is chi.values[c], (label, c)
+
+
+def test_validate_table_matches_per_element_sums():
+    for label, G in class_function_groups():
+        chars = character_table(G).chars
+        assert validate_table(chars, G) == per_element_report(chars, G), label
+    # failing reports, messages included, agree as well
+    for G, idx in ((dihedral(3), 2), (group_pq(3, 7, 2), 1)):
+        for bad in range(1, len(G.conjugacy_classes())):
+            chars = list(character_table(G).chars)
+            chars[idx] = _Corrupted(chars[idx], bad_class=bad)
+            report = validate_table(chars, G)
+            assert not report.ok
+            assert report == per_element_report(chars, G), (G, bad)
 
 
 # -- zero sets ------------------------------------------------------------------------

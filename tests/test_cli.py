@@ -316,6 +316,30 @@ def test_main_csv_outputs(tmp_path):
         assert len(lines) == 5  # four orbits plus header
 
 
+def test_csv_run_scans_orbits_once_per_character(tmp_path, monkeypatch):
+    # the orbits and dims tasks and the CSV export share one scan per
+    # character, also under an m override
+    import ostar.cli
+
+    calls = []
+    real_scan = ostar.cli.orbit_scan
+
+    def counting_scan(G, rep, chi, m, n, **kwargs):
+        calls.append(rep.degree)
+        return real_scan(G, rep, chi, m, n, **kwargs)
+
+    monkeypatch.setattr(ostar.cli, "orbit_scan", counting_scan)
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 2, "m": 4, "tasks": ["orbits", "dims"]})
+    out = tmp_path / "report.json"
+    assert main(["run", str(p), "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert calls == [4, 4, 4]
+    per_char = json.loads(out.read_text())["tasks"]["orbits"]["per_character"]
+    for i, row in enumerate(per_char):
+        lines = (tmp_path / f"report.orbits.chi{i}.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(row["records"])
+
+
 def test_main_csv_requires_out(tmp_path):
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}},
                              "rep": "natural", "n": 2, "tasks": ["orbits"]})

@@ -5,6 +5,7 @@ identification, a brute subset-closure subgroup count, and an independent
 Cayley-table construction of the regular representation.
 """
 
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -29,6 +30,7 @@ from ostar.groups import (
     regular_rep,
     z_group,
 )
+from test_acceptance import TABLE_SUITE, group as suite_group
 
 
 def direct_product(a_factors, h_factors):
@@ -400,3 +402,46 @@ def test_enumerate_subgroups_bound_refusal():
     G = dihedral(7)
     with pytest.raises(BudgetError):
         enumerate_subgroups(G, bound=10)
+
+
+def pairwise_join_subgroups(G):
+    """The former enumeration, kept as a reference: close the cyclic
+    subgroups under pairwise join until a fixpoint."""
+    subs = {frozenset(G.cyclic(g)) for g in G.elements()}
+    frontier = list(subs)
+    while frontier:
+        fresh = []
+        for S in frontier:
+            for T in list(subs):
+                if S <= T or T <= S:
+                    continue
+                J = frozenset(G.closure(S | T))
+                if J not in subs:
+                    subs.add(J)
+                    fresh.append(J)
+        frontier = fresh
+    return tuple(
+        sorted(subs, key=lambda S: (len(S), sorted(map(G.element_code, S))))
+    )
+
+
+@pytest.mark.parametrize("name", TABLE_SUITE)
+def test_enumerate_subgroups_matches_pairwise_join(name):
+    G = suite_group(name)
+    assert enumerate_subgroups(G) == pairwise_join_subgroups(G)
+
+
+@pytest.mark.parametrize("s", [3, 4, 6, 9, 12, 45])
+def test_dihedral_subgroup_count_is_tau_plus_sigma(s):
+    divisors = [d for d in range(1, s + 1) if s % d == 0]
+    assert len(enumerate_subgroups(dihedral(s))) == len(divisors) + sum(divisors)
+
+
+def test_enumerate_subgroups_c2_wr_c4_fast():
+    G = build_wreath(WreathSpec.regular(AbelianGroup([2]), AbelianGroup([4])))
+    assert G.order == 64
+    start = time.perf_counter()
+    subs = enumerate_subgroups(G)
+    elapsed = time.perf_counter() - start
+    assert len(subs) == 129
+    assert elapsed < 2.0, f"C2 wr C4 subgroup lattice took {elapsed:.2f} s"

@@ -205,6 +205,26 @@ def test_dim_rejects_broken_character():
         dim_symmetry_class(D6, D6_REP, Corrupted(), 2)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_dim_matches_per_element_sum(n):
+    # the class-weighted sum against chi(e)/|G| sum_g chi(g) n^c(g) over
+    # every element, with chi evaluated directly rather than per class
+    cases = [(name, suite_group(name)) for name in TABLE_SUITE]
+    cases = [(name, G, G.natural_rep) for name, G in cases]
+    cases += [
+        (f"random{seed}.{i}", G, regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    for label, G, rep in cases:
+        for chi in character_table(G).chars:
+            total = CycloNum.zero()
+            for g in G.elements():
+                total = total + chi.value_uncached(g) * n ** cycle_count(g, rep)
+            expected = total * Fraction(chi.degree, G.order)
+            assert dim_symmetry_class(G, rep, chi, n) == expected, (label, n)
+
+
 def test_cycle_count_examples():
     D10 = dihedral(5)
     assert cycle_count(D10.identity, D10.natural_rep) == 5
