@@ -1,11 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A CycloNum is an element of Q[x]/(Phi_N) written against the power basis
-{zeta^0, ..., zeta^(phi(N)-1)}, stored as a primitive integer coefficient
-vector times one rational scale.  That keeps equality and zero tests down to
-tuple comparisons and runs the hot paths (convolution, reduction mod Phi_N)
-on machine integers.  Floating point never participates in any decision;
-``evalf`` exists for oracles and reports only.
+{zeta^0, ..., zeta^(phi(N)-1)}, stored as phi(N) integer numerators over one
+positive integer denominator, in lowest terms.  Equality and zero tests are
+tuple comparisons, and the hot paths (convolution, reduction mod Phi_N over
+the nonzero terms of Phi_N) run on ints with no Fraction; character values
+are algebraic integers, so their denominator is 1 and they skip the gcd
+pass.  Floating point never participates in any decision; ``evalf`` exists
+for oracles and reports only.
 
 Also home to the numerical-semigroup membership test behind the vanishing
 sums-of-roots-of-unity criterion.
@@ -81,78 +83,85 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(vec, n):
-    # remainder of an integer polynomial modulo the (monic) Phi_n
+@lru_cache(maxsize=None)
+def _low_terms(n):
+    # (phi(n), the nonzero (j, c) of Phi_n below its leading term)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce_mod_phi(vec, n):
+    # remainder of an integer polynomial modulo the (monic) Phi_n, as a new
+    # list of length phi(n)
+    deg, terms = _low_terms(n)
+    top = len(vec)
+    if top <= deg:
+        return list(vec) + [0] * (deg - top)
     vec = list(vec)
-    if len(vec) < deg:
-        vec.extend([0] * (deg - len(vec)))
-    for i in range(len(vec) - 1, deg - 1, -1):
+    for i in range(top - 1, deg - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = 0
             base = i - deg
-            for j in range(deg):
-                vec[base + j] -= c * phi[j]
-    return vec[:deg]
+            for j, p in terms:
+                vec[base + j] -= c * p
+    del vec[deg:]
+    return vec
 
 
 class CycloNum:
     """An element of Q(zeta_N), immutable and in canonical form.
 
-    ``coeffs`` is a primitive integer vector (gcd 1, first nonzero entry
-    positive) over the power basis; ``scale`` carries the rational part and
-    the sign.  Zero is scale 0 with an all-zero vector.
+    ``coeffs`` holds phi(N) integer numerators over the power basis and
+    ``den`` one positive integer denominator, with gcd(den, *coeffs) == 1;
+    zero is the all-zero vector over den 1.  Character values are algebraic
+    integers, so den is almost always 1 and needs no gcd pass.
     """
 
-    __slots__ = ("conductor", "scale", "coeffs")
+    __slots__ = ("conductor", "coeffs", "den")
 
-    def __init__(self, conductor: int, scale: Fraction, coeffs: tuple[int, ...]):
+    def __init__(self, conductor: int, coeffs: tuple[int, ...], den: int):
         # internal: use the factory constructors / operators below
         self.conductor = conductor
-        self.scale = scale
         self.coeffs = coeffs
+        self.den = den
 
     @staticmethod
-    def _make(n: int, scale, vec) -> "CycloNum":
+    def _make(n: int, vec, den: int = 1) -> "CycloNum":
+        # vec: integer numerators of any length, den > 0
         _check_conductor(n)
-        deg = len(cyclotomic_polynomial(n)) - 1
-        vec = _reduce_mod_phi(vec, n)
-        scale = Fraction(scale)
-        if scale == 0 or not any(vec):
-            return CycloNum(n, Fraction(0), (0,) * deg)
-        g = 0
-        for c in vec:
-            g = math.gcd(g, c)
-        for c in vec:
-            if c:
-                if c < 0:
-                    g = -g
-                break
-        if g != 1:
-            vec = [c // g for c in vec]
-        return CycloNum(n, scale * g, tuple(vec))
+        if len(vec) != _low_terms(n)[0]:
+            vec = _reduce_mod_phi(vec, n)
+        if den != 1:
+            g = math.gcd(den, *vec)
+            if g != 1:
+                vec = [c // g for c in vec]
+                den //= g
+        return CycloNum(n, tuple(vec), den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycloNum":
-        return CycloNum._make(conductor, 0, [0])
+        return CycloNum._make(conductor, [0])
 
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "CycloNum":
-        return CycloNum._make(conductor, Fraction(q), [1])
+        if not isinstance(q, int):
+            q = Fraction(q)
+        return CycloNum._make(conductor, [q.numerator], q.denominator)
 
     @staticmethod
     def from_coeffs(conductor: int, coeffs: Sequence) -> "CycloNum":
         """Build from rational coefficients of zeta^0, zeta^1, ... and normalize."""
+        if all(type(c) is int for c in coeffs):
+            return CycloNum._make(conductor, list(coeffs))
         fr = [Fraction(c) for c in coeffs]
         den = 1
         for f in fr:
             den = den * f.denominator // math.gcd(den, f.denominator)
-        vec = [int(f * den) for f in fr]
-        return CycloNum._make(conductor, Fraction(1, den), vec)
+        vec = [f.numerator * (den // f.denominator) for f in fr]
+        return CycloNum._make(conductor, vec, den)
 
     @staticmethod
     def coerce(x) -> "CycloNum":
@@ -173,11 +182,11 @@ class CycloNum:
                 f"cannot promote conductor {self.conductor} to non-multiple {conductor}"
             )
         k = conductor // self.conductor
-        vec = [0] * ((len(self.coeffs) - 1) * k + 1 if self.coeffs else 1)
+        vec = [0] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 vec[i * k] = c
-        return CycloNum._make(conductor, self.scale, vec)
+        return CycloNum._make(conductor, vec, self.den)
 
     def _pair(self, other: "CycloNum"):
         n = math.lcm(self.conductor, other.conductor)
@@ -186,26 +195,29 @@ class CycloNum:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = CycloNum.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._pair(other)
-        if a.scale == 0:
+        if type(other) is not CycloNum:
+            try:
+                other = CycloNum.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
+        if not any(a.coeffs):
             return b
-        if b.scale == 0:
+        if not any(b.coeffs):
             return a
-        da, db = a.scale.denominator, b.scale.denominator
+        da, db = a.den, b.den
+        if da == db:
+            vec = [x + y for x, y in zip(a.coeffs, b.coeffs)]
+            return CycloNum._make(a.conductor, vec, da)
         d = da * db // math.gcd(da, db)
-        ka = a.scale.numerator * (d // da)
-        kb = b.scale.numerator * (d // db)
+        ka, kb = d // da, d // db
         vec = [ka * x + kb * y for x, y in zip(a.coeffs, b.coeffs)]
-        return CycloNum._make(a.conductor, Fraction(1, d), vec)
+        return CycloNum._make(a.conductor, vec, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.conductor, -self.scale, self.coeffs)
+        return CycloNum._make(self.conductor, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
         try:
@@ -217,28 +229,28 @@ class CycloNum:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p: int, q: int) -> "CycloNum":
+        # self * p/q for integers p and q > 0
+        return CycloNum._make(self.conductor, [c * p for c in self.coeffs], self.den * q)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = self.scale * other
-            if s == 0:
-                return CycloNum.zero(self.conductor)
-            return CycloNum(self.conductor, s, self.coeffs)
-        if not isinstance(other, CycloNum):
+        if type(other) is not CycloNum:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        a, b = self._pair(other)
-        if a.scale == 0 or b.scale == 0:
-            return CycloNum.zero(a.conductor)
-        ca, cb = a.coeffs, b.coeffs
-        # iterate the sparser factor outermost
-        if sum(1 for c in ca if c) > sum(1 for c in cb if c):
-            ca, cb = cb, ca
-        out = [0] * (len(ca) + len(cb) - 1)
-        for i, ci in enumerate(ca):
-            if ci:
-                for j, cj in enumerate(cb):
-                    if cj:
+        a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
+        ca = a.coeffs
+        if len(ca) == 1:
+            out = [ca[0] * b.coeffs[0]]
+        else:
+            # a zero factor leaves out all zero, which _make turns into zero
+            cb = [(j, c) for j, c in enumerate(b.coeffs) if c]
+            out = [0] * (2 * len(ca) - 1)
+            for i, ci in enumerate(ca):
+                if ci:
+                    for j, cj in cb:
                         out[i + j] += ci * cj
-        return CycloNum._make(a.conductor, a.scale * b.scale, out)
+        return CycloNum._make(a.conductor, out, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -249,7 +261,7 @@ class CycloNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 vec[(n - i) % n] += c
-        return CycloNum._make(n, self.scale, vec)
+        return CycloNum._make(n, vec, self.den)
 
     def inv(self) -> "CycloNum":
         """Multiplicative inverse, by the extended Euclidean algorithm
@@ -267,15 +279,16 @@ class CycloNum:
         # now s1 * self.coeffs == r1[0] (a nonzero rational) mod Phi
         c = r1[0]
         inv_vec = [x / c for x in s1]
-        out = CycloNum.from_coeffs(self.conductor, inv_vec)
-        return out * (1 / self.scale)
+        return CycloNum.from_coeffs(self.conductor, inv_vec) * self.den
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / other)
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return self._scaled(q, p)
         if isinstance(other, CycloNum):
             return self * other.inv()
         return NotImplemented
@@ -283,17 +296,15 @@ class CycloNum:
     # -- predicates and views -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.scale == 0
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return self.scale == 0 or not any(self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
-        if self.scale == 0:
-            return Fraction(0)
         if any(self.coeffs[1:]):
             raise ValueError(f"{self} is not rational")
-        return self.scale * self.coeffs[0]
+        return Fraction(self.coeffs[0], self.den)
 
     def rational_coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients of zeta^0 .. zeta^(N-1) as Fractions; everything at
@@ -301,24 +312,46 @@ class CycloNum:
         out = [Fraction(0)] * self.conductor
         for i, c in enumerate(self.coeffs):
             if c:
-                out[i] = self.scale * c
+                out[i] = Fraction(c, self.den)
         return tuple(out)
 
+    def _primitive(self):
+        # (scale, primitive vector): gcd 1, first nonzero entry positive;
+        # zero is (0, the zero vector)
+        g = math.gcd(*self.coeffs)
+        if not g:
+            return Fraction(0), self.coeffs
+        for c in self.coeffs:
+            if c:
+                if c < 0:
+                    g = -g
+                break
+        return Fraction(g, self.den), tuple(c // g for c in self.coeffs)
+
+    @property
+    def scale(self) -> Fraction:
+        """The rational factor in front of the primitive coefficient vector."""
+        return self._primitive()[0]
+
     def evalf(self) -> complex:
+        # from the primitive vector times the scale, so that every float
+        # operation is the same whatever the numerators' common factor
+        scale, prim = self._primitive()
         z = cmath.exp(2j * cmath.pi / self.conductor)
         acc = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(prim):
             if c:
                 acc += c * z**i
-        return complex(self.scale) * acc
+        return complex(scale) * acc
 
     def __eq__(self, other):
-        try:
-            other = CycloNum.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.scale == b.scale and a.coeffs == b.coeffs
+        if type(other) is not CycloNum:
+            try:
+                other = CycloNum.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
+        return a.den == b.den and a.coeffs == b.coeffs
 
     # equal values at different conductors would need equal hashes; key
     # caches on something else instead
@@ -329,9 +362,10 @@ class CycloNum:
             return "0"
         if self.is_rational():
             return str(self.as_fraction())
+        scale, prim = self._primitive()
         name = f"z{self.conductor}"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(prim):
             if not c:
                 continue
             if i == 0:
@@ -340,9 +374,9 @@ class CycloNum:
                 t = ("" if abs(c) == 1 else f"{abs(c)}*") + (name if i == 1 else f"{name}^{i}")
             terms.append(("- " if c < 0 else "+ " if terms else "") + t)
         body = " ".join(terms)
-        if self.scale == 1:
+        if scale == 1:
             return body if len(terms) == 1 else f"({body})"
-        return f"({self.scale})*({body})"
+        return f"({scale})*({body})"
 
     def __repr__(self):
         return f"CycloNum[{self}]"
@@ -389,7 +423,7 @@ def _pdivmod(num, den):
 def _root(n: int, e: int) -> CycloNum:
     vec = [0] * n
     vec[e] = 1
-    return CycloNum._make(n, 1, vec)
+    return CycloNum._make(n, vec)
 
 
 def root_of_unity(n: int, e: int) -> CycloNum:

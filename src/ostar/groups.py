@@ -733,9 +733,13 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
 
 def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
     """The complete subgroup lattice as frozensets of elements, computed by
-    cyclic extension from {e}: each subgroup S adds <gens(S), g> for one g
-    per right coset S g outside S.  Every subgroup tops a chain of cyclic
-    extensions from {e}, and <S, g> = <S, s g> for s in S, so all are found.
+    prime-index extension from {e}: for a subgroup S and an element g that
+    normalizes S with g^k in S for a least prime k, T = <S, g> is the union
+    of the cosets S g^i, i < k.  A x|_phi H is metabelian, hence solvable,
+    so every subgroup U != {e} has a normal subgroup S of prime index, and
+    U = <S, g> for every g in U outside S: all subgroups are found.  Every
+    element of T outside S gives T again, and whether g qualifies depends
+    only on the coset S g, so both are skipped once seen.
 
     Refuses loudly (never answers partially) when |G| exceeds the bound.
     """
@@ -746,15 +750,31 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
     gens_of = {frozenset((G.identity,)): ()}
     queue = list(gens_of)
     for S in queue:  # grows while it is walked
+        gens = gens_of[S]
         covered = set(S)
         for g in G.elements():
-            if g not in covered:
-                covered.update(G.mul(s, g) for s in S)
-                gens = gens_of[S] + (g,)
-                T = frozenset(G.closure(gens))
-                if T not in gens_of:
-                    gens_of[T] = gens
-                    queue.append(T)
+            if g in covered:
+                continue
+            covered.update(G.mul(s, g) for s in S)
+            gi = G.inv(g)
+            if any(G.mul(G.mul(g, x), gi) not in S for x in gens):
+                continue
+            k, power = 1, g
+            while power not in S:
+                power = G.mul(power, g)
+                k += 1
+            if prime_factors(k) != (k,):
+                continue
+            T = set(S)
+            power = g
+            for _ in range(1, k):
+                T.update(G.mul(s, power) for s in S)
+                power = G.mul(power, g)
+            covered |= T
+            T = frozenset(T)
+            if T not in gens_of:
+                gens_of[T] = gens + (g,)
+                queue.append(T)
     for S in gens_of:
         for x in S:
             if G.inv(x) not in S:

@@ -137,12 +137,25 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
 
     The orbit partition is independent of the character and cached on the
     representation; the character-dependent fields are recomputed per call.
+    A stabilizer's character sum is sum_C k_C chi(C) over the conjugacy
+    classes C it meets k_C times, computed once per distinct profile of
+    class counts and shared by the orbits with that profile.
     """
+    classes = G.conjugacy_classes()
+    sums = {}
     records = []
     for alpha, size, stab in _orbit_partition(G, rep, m, n, index_budget):
-        s = CycloNum.zero()
+        counts = {}
         for h in stab:
-            s = s + chi.value(h)
+            c = G.class_index(h)
+            counts[c] = counts.get(c, 0) + 1
+        profile = tuple(sorted(counts.items()))
+        s = sums.get(profile)
+        if s is None:
+            s = CycloNum.zero()
+            for c, k in profile:
+                s = s + chi.value(classes[c][0]) * k
+            sums[profile] = s
         try:
             q = (s * Fraction(chi.degree, len(stab))).as_fraction()
         except ValueError as exc:

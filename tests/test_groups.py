@@ -445,3 +445,10 @@ def test_enumerate_subgroups_c2_wr_c4_fast():
     elapsed = time.perf_counter() - start
     assert len(subs) == 129
     assert elapsed < 2.0, f"C2 wr C4 subgroup lattice took {elapsed:.2f} s"
+
+
+def test_dihedral_100_subgroup_count_is_tau_plus_sigma():
+    # order 200: the lattice the closure-per-coset enumeration took seconds on
+    divisors = [d for d in range(1, 101) if 100 % d == 0]
+    assert len(divisors) + sum(divisors) == 226
+    assert len(enumerate_subgroups(dihedral(100))) == 226

@@ -24,6 +24,9 @@ from ostar.groups import (
 )
 from ostar.characters import character_table
 from ostar.symclass import (
+    DEFAULT_INDEX_BUDGET,
+    OrbitRecord,
+    _orbit_partition,
     act,
     coset_sums,
     coset_transversal,
@@ -270,6 +273,48 @@ def test_coset_sums_match_stabilizer_loop():
                         assert got == acc and got.conductor == acc.conductor, (
                             label, n, stab, g)
                         checked += 1
+    assert checked > 0
+
+
+def orbit_scan_per_element(G, rep, chi, m, n):
+    """orbit_scan as it was before stabilizer sums went by class profile:
+    one character value per stabilizer element, summed in element order."""
+    records = []
+    for alpha, size, stab in _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET):
+        s = CycloNum.zero()
+        for h in stab:
+            s = s + chi.value(h)
+        q = (s * Fraction(chi.degree, len(stab))).as_fraction()
+        records.append(OrbitRecord(alpha, size, stab, s, not s.is_zero(), int(q)))
+    return records
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_scan_matches_per_element_sums(n):
+    cases = [(name, suite_group(name)) for name in TABLE_SUITE]
+    cases = [(name, G, G.natural_rep) for name, G in cases]
+    cases += [
+        (f"random{seed}.{i}", G, regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    checked = 0
+    for label, G, rep in cases:
+        if n ** rep.degree > 20000:
+            # F55 on 11 points and the regular reps of order 10 and 12 are
+            # covered at n = 2 only
+            continue
+        for chi in character_table(G).chars:
+            got = orbit_scan(G, rep, chi, rep.degree, n)
+            want = orbit_scan_per_element(G, rep, chi, rep.degree, n)
+            assert len(got) == len(want), (label, n)
+            for r, w in zip(got, want):
+                assert (r.rep, r.orbit_size, r.stabilizer) == (w.rep, w.orbit_size, w.stabilizer)
+                assert r.stab_char_sum == w.stab_char_sum, (label, n, r.rep)
+                assert r.stab_char_sum.conductor == w.stab_char_sum.conductor
+                assert str(r.stab_char_sum) == str(w.stab_char_sum)
+                assert (r.in_delta_bar, r.s_alpha) == (w.in_delta_bar, w.s_alpha)
+                checked += 1
     assert checked > 0
 
 
