@@ -32,6 +32,7 @@ from .groups import (
     WreathSpec,
     build_semidirect,
     build_wreath,
+    element_json,
     regular_rep,
 )
 from .symclass import (
@@ -372,7 +373,7 @@ def _run_tasks(cfg, G, rep, threads):
             report["tasks"]["chartable"] = {
                 "classes": [
                     {
-                        "rep": [list(cls[0][0]), list(cls[0][1])],
+                        "rep": element_json(cls[0]),
                         "label": element_label(cls[0]),
                         "size": len(cls),
                     }

@@ -254,32 +254,31 @@ class CycloNum:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "CycloNum":
-        """Complex conjugate: zeta^i -> zeta^(N-i)."""
+    def _galois(self, k: int) -> "CycloNum":
+        # the field automorphism zeta -> zeta^k, for k a unit mod N
         n = self.conductor
         vec = [0] * n
         for i, c in enumerate(self.coeffs):
             if c:
-                vec[(n - i) % n] += c
+                vec[i * k % n] += c
         return CycloNum._make(n, vec, self.den)
 
+    def conj(self) -> "CycloNum":
+        """Complex conjugate: zeta^i -> zeta^(N-i)."""
+        return self._galois(-1)
+
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse, by the extended Euclidean algorithm
-        against Phi_N over Q[x]."""
+        """Multiplicative inverse y / (x y), where y is the product of the
+        Galois conjugates sigma_k(x) over the units k != 1 mod N, so that
+        x y is the field norm of x, a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        p = [Fraction(c) for c in self.coeffs]
-        r0, r1 = phi, _ptrim(p)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, _ptrim(r)
-            s0, s1 = s1, _ptrim(_psub(s0, _pmulq(q, s1)))
-        # now s1 * self.coeffs == r1[0] (a nonzero rational) mod Phi
-        c = r1[0]
-        inv_vec = [x / c for x in s1]
-        return CycloNum.from_coeffs(self.conductor, inv_vec) * self.den
+        n = self.conductor
+        y = CycloNum.from_rational(1, n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                y = y * self._galois(k)
+        return y / (self * y).as_fraction()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -380,43 +379,6 @@ class CycloNum:
 
     def __repr__(self):
         return f"CycloNum[{self}]"
-
-
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _pmulq(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _pdivmod(num, den):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / lead
-        if c:
-            q[i] = c
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    return q, num[:dd] if dd else [Fraction(0)]
 
 
 @lru_cache(maxsize=None)

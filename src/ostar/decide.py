@@ -30,6 +30,7 @@ from .cyclotomic import SemigroupQuery, prime_factors, semigroup_member
 from .errors import BudgetError, ConsistencyError
 from .groups import (
     FAMILIES,
+    element_json,
     enumerate_subgroups,
     regular_rep,
     SUBGROUP_CAP,
@@ -75,11 +76,6 @@ SUBGROUP_CRITERION = "SubgroupCriterion"
 BRUTE_FORCE = "BruteForce"
 
 DEFAULT_VERTEX_BUDGET = 512
-
-
-def element_json(g):
-    a, h = g
-    return [list(a), list(h)]
 
 
 @dataclass

@@ -351,14 +351,6 @@ class SemidirectGroup:
         hi = self.H.neg(h)
         return (self.phi.apply(hi, self.A.neg(a)), hi)
 
-    def power(self, g, k: int):
-        if k < 0:
-            return self.power(self.inv(g), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul(acc, g)
-        return acc
-
     def order_of(self, g) -> int:
         k, x = 1, g
         while x != self.identity:
@@ -403,17 +395,25 @@ class SemidirectGroup:
 
     def conjugacy_classes(self):
         """Classes as tuples sorted by element code, listed by minimal
-        representative; the identity class comes first."""
+        representative; the identity class comes first.  Each class is
+        found as the orbit of its minimal element under conjugation by the
+        generators, which costs one conjugation per element and generator."""
         if self._classes is None:
-            elems = self.elements()
+            gens = [(self.inv(s), s) for s in self.generators()]
             assigned = {}
             classes = []
-            for g in elems:
+            for g in self.elements():
                 if g in assigned:
                     continue
                 cls = {g}
-                for t in elems:
-                    cls.add(self.mul(self.mul(self.inv(t), g), t))
+                frontier = [g]
+                while frontier:
+                    x = frontier.pop()
+                    for si, s in gens:
+                        y = self.mul(self.mul(si, x), s)
+                        if y not in cls:
+                            cls.add(y)
+                            frontier.append(y)
                 cls = tuple(sorted(cls, key=self.element_code))
                 for x in cls:
                     assigned[x] = len(classes)
@@ -428,6 +428,12 @@ class SemidirectGroup:
         return self._class_index[g]
 
 
+def element_json(g):
+    """An element (a, h) of a semidirect product as [[a...], [h...]]."""
+    a, h = g
+    return [list(a), list(h)]
+
+
 def build_semidirect(A, H, phi, origin="semidirect") -> SemidirectGroup:
     """Assemble A x|_phi H; phi must already be a validated ActionHom.  A
     validated action is a homomorphism H -> Aut(A), which makes the product
@@ -440,11 +446,19 @@ def build_semidirect(A, H, phi, origin="semidirect") -> SemidirectGroup:
 
 class PermRep:
     """Permutation representation of a semidirect product, by 0-based image
-    permutations of the standard generators of A and of H, checked at
-    construction to induce a homomorphism (see is_homomorphism)."""
+    permutations of the standard generators of A and of H.
 
-    def __init__(self, group, a_images, h_images, kind="explicit", check=True,
-                 degree=None):
+    Construction walks the Cayley graph breadth-first from the identity
+    over the edges x -> x s, s a standard generator.  The first visit of
+    x s sets perm(x s) = perm(x) perm(s) and its inverse; every later visit
+    compares.  That covers all |G| * #gens edges, so the images are refused
+    (ValueError) exactly when they do not induce a homomorphism, and the
+    permutation and inverse permutation of every element are tabulated.
+    Groups above ELEMENT_CAP are refused with BudgetError, as by every
+    element enumeration.
+    """
+
+    def __init__(self, group, a_images, h_images, kind="explicit", degree=None):
         self.group = group
         self.a_images = tuple(tuple(p) for p in a_images)
         self.h_images = tuple(tuple(p) for p in h_images)
@@ -464,44 +478,47 @@ class PermRep:
             raise ValueError("wrong number of A-generator images")
         if len(self.h_images) != len(group.H.factors):
             raise ValueError("wrong number of H-generator images")
-        self._perms = {}
-        self._invs = {}
         self._faithful = None
-        if check and not self.is_homomorphism():
-            raise ValueError("generator images do not induce a homomorphism")
+        group.elements()  # refuses groups above ELEMENT_CAP, like any enumeration
+        edges = [
+            (s, p, pinv(p))
+            for s, p in zip(group.generators(), self.a_images + self.h_images)
+        ]
+        ident = tuple(range(self.degree))
+        self._perm_of = {group.identity: ident}
+        self._inv_of = {group.identity: ident}
+        frontier = [group.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                px, qx = self._perm_of[x], self._inv_of[x]
+                for s, ps, qs in edges:
+                    y = group.mul(x, s)
+                    py = pmul(px, ps)
+                    known = self._perm_of.get(y)
+                    if known is None:
+                        self._perm_of[y] = py
+                        self._inv_of[y] = pmul(qs, qx)
+                        nxt.append(y)
+                    elif known != py:
+                        raise ValueError(
+                            "generator images do not induce a homomorphism"
+                        )
+            frontier = nxt
 
     def perm(self, g):
-        p = self._perms.get(g)
-        if p is None:
-            a, h = g
-            p = tuple(range(self.degree))
-            for x, img in zip(a, self.a_images):
-                if x:
-                    p = pmul(p, _ppow(img, x))
-            for x, img in zip(h, self.h_images):
-                if x:
-                    p = pmul(p, _ppow(img, x))
-            self._perms[g] = p
-        return p
+        return self._perm_of[g]
 
     def inv_perm(self, g):
-        p = self._invs.get(g)
-        if p is None:
-            p = pinv(self.perm(g))
-            self._invs[g] = p
-        return p
+        return self._inv_of[g]
 
     def is_homomorphism(self) -> bool:
-        """perm(x s) == perm(x) perm(s) for every element x and generator s.
-        Complete: every y is a word in the generators, so induction on its
-        length gives perm(x y) == perm(x) perm(y) for all x, y."""
-        G = self.group
-        gens = [(s, self.perm(s)) for s in G.generators()]
-        return all(
-            self.perm(G.mul(x, s)) == pmul(self.perm(x), ps)
-            for x in G.elements()
-            for s, ps in gens
-        )
+        """The construction walk's verdict, always True on a constructed
+        rep: it found perm(x s) == perm(x) perm(s) for every element x and
+        generator s.  That is complete: every y is a word in the
+        generators, so induction on its length gives
+        perm(x y) == perm(x) perm(y) for all x, y."""
+        return True
 
     def is_faithful(self) -> bool:
         if self._faithful is None:
@@ -525,7 +542,6 @@ class PermRep:
             tuple(p + pad for p in self.a_images),
             tuple(p + pad for p in self.h_images),
             kind=self.kind,
-            check=False,
         )
 
 

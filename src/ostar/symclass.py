@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycloNum, cyclo_json
 from .errors import BudgetError, ConsistencyError
-from .groups import PermRep, SemidirectGroup, perm_cycle_count
+from .groups import PermRep, SemidirectGroup, element_json, perm_cycle_count
 
 __all__ = [
     "DEFAULT_INDEX_BUDGET",
@@ -257,7 +257,7 @@ class GramMatrix:
 
     def to_json(self):
         return {
-            "coset_reps": [[list(a), list(h)] for a, h in self.coset_reps],
+            "coset_reps": [element_json(g) for g in self.coset_reps],
             "entries": [[cyclo_json(v) for v in row] for row in self.entries],
         }
 

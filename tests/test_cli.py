@@ -256,6 +256,21 @@ def test_main_validate_rejects_non_homomorphism_beyond_order_200(tmp_path, capsy
     assert "homomorphism" in capsys.readouterr().err
 
 
+def test_main_validate_rejects_image_for_trivial_factor_generator(tmp_path, capsys):
+    # the generator of the C_1 factor is the identity, yet its image swaps
+    p = write_cfg(tmp_path, {"A": [1], "H": [2], "phi": [[[0]]],
+                             "rep": {"explicit": {"degree": 2, "A": [[2, 1]],
+                                                  "H": [[2, 1]]}}})
+    assert main(["validate", str(p)]) == EXIT_CONFIG
+    assert "homomorphism" in capsys.readouterr().err
+
+
+def test_main_validate_refuses_group_above_element_cap(tmp_path, capsys):
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 1001}}})
+    assert main(["validate", str(p)]) == EXIT_BUDGET
+    assert "cap 2000" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_cli(tmp_path):
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}})
     env = dict(os.environ)

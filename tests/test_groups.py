@@ -31,6 +31,7 @@ from ostar.groups import (
     z_group,
 )
 from test_acceptance import TABLE_SUITE, group as suite_group
+from test_random_products import sample_groups
 
 
 def direct_product(a_factors, h_factors):
@@ -340,6 +341,17 @@ def test_regular_rep_matches_cayley_table_oracle():
     assert all(p[i] != i for i in range(6))
 
 
+def test_perm_rep_rejects_image_for_trivial_factor_generator():
+    # the standard generator of a C_1 factor is the identity element, so
+    # its image must be the identity permutation too
+    A, H = AbelianGroup([1]), AbelianGroup([2])
+    G = build_semidirect(A, H, ActionHom.trivial(H, A))
+    with pytest.raises(ValueError, match="homomorphism"):
+        PermRep(G, ((1, 0),), ((1, 0),))
+    rep = PermRep(G, ((0, 1),), ((1, 0),))
+    assert rep.perm(((0,), (1,))) == (1, 0)
+
+
 def test_regular_rep_trivial_group():
     T = build_semidirect(
         AbelianGroup([1]), AbelianGroup([1]),
@@ -452,3 +464,91 @@ def test_dihedral_100_subgroup_count_is_tau_plus_sigma():
     divisors = [d for d in range(1, 101) if 100 % d == 0]
     assert len(divisors) + sum(divisors) == 226
     assert len(enumerate_subgroups(dihedral(100))) == 226
+
+
+# -- differential tests against the former algorithms --------------------------------
+
+
+def all_elements_conjugacy_classes(G):
+    """The former conjugacy_classes, kept as a reference: every new
+    representative is conjugated by every element.  Returns the classes
+    and the class index of every element."""
+    elems = G.elements()
+    assigned = {}
+    classes = []
+    for g in elems:
+        if g in assigned:
+            continue
+        cls = {g}
+        for t in elems:
+            cls.add(G.mul(G.mul(G.inv(t), g), t))
+        cls = tuple(sorted(cls, key=G.element_code))
+        for x in cls:
+            assigned[x] = len(classes)
+        classes.append(cls)
+    return tuple(classes), assigned
+
+
+def _ppow(p, k):
+    out = tuple(range(len(p)))
+    for _ in range(k):
+        out = pmul(out, p)
+    return out
+
+
+def generator_power_perm(rep, g):
+    """The former PermRep.perm, kept as a reference: the generator images
+    raised to the coordinates of g = (a, h), multiplied in order."""
+    a, h = g
+    p = tuple(range(rep.degree))
+    for x, img in zip(a, rep.a_images):
+        if x:
+            p = pmul(p, _ppow(img, x))
+    for x, img in zip(h, rep.h_images):
+        if x:
+            p = pmul(p, _ppow(img, x))
+    return p
+
+
+DIFFERENTIAL_SUITE = [*TABLE_SUITE, "random1", "random2"]
+
+
+def differential_groups(name):
+    """One acceptance-suite group, or the four random-sweep groups of a
+    seed."""
+    if name.startswith("random"):
+        return sample_groups(int(name[len("random"):]), count=4, max_order=12)
+    return [suite_group(name)]
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SUITE)
+def test_conjugacy_classes_match_all_elements_conjugation(name):
+    for G in differential_groups(name):
+        classes, index = all_elements_conjugacy_classes(G)
+        assert G.conjugacy_classes() == classes
+        assert all(G.class_index(g) == index[g] for g in G.elements())
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SUITE)
+def test_perm_tables_match_generator_power_words(name):
+    for G in differential_groups(name):
+        reps = [regular_rep(G)]
+        if G.natural_rep is not None:
+            reps.append(G.natural_rep)
+        reps += [rep.extended(rep.degree + 2) for rep in reps]
+        for rep in reps:
+            for g in G.elements():
+                p = generator_power_perm(rep, g)
+                assert rep.perm(g) == p
+                assert rep.inv_perm(g) == pinv(p)
+
+
+def test_dihedral_500_build_and_classes_fast():
+    # order 1000, within ELEMENT_CAP; generator-power permutations and
+    # all-elements conjugation took about 10 s on a 2-CPU x86-64 VM
+    start = time.perf_counter()
+    G = dihedral(500)
+    classes = G.conjugacy_classes()
+    elapsed = time.perf_counter() - start
+    assert len(classes) == 500 // 2 + 3
+    assert elapsed < 2.0, f"dihedral(500) build and classes took {elapsed:.2f} s"
