@@ -1,9 +1,11 @@
 """Batch front-end: validate job configs, run the pipeline, emit reports.
 
 Config and report are JSON; character tables and orbit reports are also
-exportable as CSV.  Reports are byte-identical across repeated runs and
-across worker counts.  Exit codes: 0 ok, 2 config invalid, 3 budget
-refused, 4 internal consistency failure.
+exportable as CSV.  Reports are byte-identical across repeated runs.
+--threads (and run_job's threads) is accepted and has no effect: the
+oracle runs one search per distinct stabilizer in one thread, and the
+benchmark and scripts still pass it.  Exit codes: 0 ok, 2 config invalid,
+3 budget refused, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -306,12 +308,13 @@ def _verdict_agreement(decided, verified):
 
 def run_job(cfg: JobConfig, threads: int = 1) -> dict:
     """Execute the requested tasks in dependency order and return the
-    report; deterministic for identical configs regardless of threads."""
+    report, deterministic for identical configs.  threads is accepted and
+    has no effect; it stays because the benchmark and scripts pass it."""
     G, rep = build_job(cfg)
-    return _run_tasks(cfg, G, rep, threads)[0]
+    return _run_tasks(cfg, G, rep)[0]
 
 
-def _run_tasks(cfg, G, rep, threads):
+def _run_tasks(cfg, G, rep):
     """The report and the orbit records per character (None without the
     orbits and dims tasks), which those tasks and the CSV export share."""
     report = {
@@ -426,8 +429,7 @@ def _run_tasks(cfg, G, rep, threads):
             per_char = []
             for i, chi in enumerate(table.chars):
                 v = brute_force_verify(G, rep_eff, chi, n,
-                                       index_budget=cfg.index_budget,
-                                       threads=threads)
+                                       index_budget=cfg.index_budget)
                 agrees = _verdict_agreement(decisions.get(i), v)
                 if agrees is False:
                     raise ConsistencyError(
@@ -489,7 +491,8 @@ def main(argv=None) -> int:
             sp.add_argument("--budget", type=int,
                             help="override the index budget")
             sp.add_argument("--threads", type=int, default=1,
-                            help="worker threads for per-orbit searches")
+                            help="accepted and has no effect; kept because "
+                                 "the benchmark and scripts pass it")
             sp.add_argument("--verify", action="store_true",
                             help="append an independent brute-force pass")
     args = parser.parse_args(argv)
@@ -517,7 +520,7 @@ def main(argv=None) -> int:
             cfg.tasks = tuple(cfg.tasks) + ("verify",)
         cfg.echo["tasks"] = list(cfg.tasks)
         if args.budget is not None:
-            cfg.index_budget = args.budget
+            cfg.index_budget = _pos_int(args.budget, "--budget")
             cfg.echo["budgets"]["index_budget"] = args.budget
 
         out = args.out or cfg.output.get("path")
@@ -526,7 +529,7 @@ def main(argv=None) -> int:
             raise ConfigError("csv output requires --out (or output.path)")
 
         G, rep = build_job(cfg)
-        report, scans = _run_tasks(cfg, G, rep, max(1, args.threads))
+        report, scans = _run_tasks(cfg, G, rep)
         payload = report_bytes(report)
         if out:
             Path(out).write_bytes(payload)

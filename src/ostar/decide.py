@@ -23,6 +23,7 @@ absent" and "not found within budget" are always kept distinct.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .characters import character_table, zero_set
@@ -76,6 +77,7 @@ SUBGROUP_CRITERION = "SubgroupCriterion"
 BRUTE_FORCE = "BruteForce"
 
 DEFAULT_VERTEX_BUDGET = 512
+CLIQUE_NODE_BUDGET = 1_000_000
 
 
 @dataclass
@@ -306,14 +308,21 @@ def decide_subgroup_criterion(G, rep, chi, n,
 
 
 def _find_clique(adj, k):
-    """Deterministic backtracking k-clique search, greatest-degree-first."""
+    """Deterministic backtracking k-clique search, greatest-degree-first.
+    None means proven absent; past CLIQUE_NODE_BUDGET search nodes it
+    raises BudgetError instead."""
     nvert = len(adj)
     if k <= 0:
         return []
     deg = [sum(row) for row in adj]
     order = sorted(range(nvert), key=lambda v: (-deg[v], v))
+    nodes = 0
 
     def grow(clique, cands):
+        nonlocal nodes
+        nodes += 1
+        if nodes > CLIQUE_NODE_BUDGET:
+            raise BudgetError("clique search exceeded the node budget")
         if len(clique) == k:
             return clique
         if len(clique) + len(cands) < k:
@@ -339,6 +348,10 @@ def brute_force_verify(G, rep, chi, n,
     class admits an o*-basis iff every orbit yields one: the orbital
     subspaces are orthogonal to each other and each candidate tensor lives
     in exactly one of them, so no global search across orbits is needed.
+
+    Everything but the representative depends only on G_alpha (alpha.g =
+    alpha.g' iff g' g^-1 lies in G_alpha), so rows with one stabilizer share
+    one search.  threads is accepted and has no effect.
     """
     _require_validated(G, chi)
     try:
@@ -351,16 +364,14 @@ def brute_force_verify(G, rep, chi, n,
             INCONCLUSIVE, BRUTE_FORCE, {"zero_dimension": True, "dim": 0}
         )
 
-    def handle(record):
-        alpha = record.rep
-        reps = coset_transversal(alpha, G, rep)
+    def search(record):
+        """The row fields shared by every orbit with this stabilizer, and
+        the budget that refused the search (None when it ran)."""
+        reps = coset_transversal(record.rep, G, rep)
+        refused = {"s_alpha": record.s_alpha, "clique": None,
+                   "budget_exceeded": True}
         if len(reps) > vertex_budget:
-            return {
-                "rep": list(alpha),
-                "s_alpha": record.s_alpha,
-                "clique": None,
-                "budget_exceeded": True,
-            }
+            return refused, f"vertex budget {vertex_budget}"
         sums = coset_sums(chi, G, record.stabilizer)
         nvert = len(reps)
         invs = [G.inv(r) for r in reps]
@@ -369,32 +380,34 @@ def brute_force_verify(G, rep, chi, n,
             for j in range(i + 1, nvert):
                 if sums[G.mul(reps[j], invs[i])].is_zero():
                     adj[i][j] = adj[j][i] = True
-        clique = _find_clique(adj, record.s_alpha)
+        try:
+            clique = _find_clique(adj, record.s_alpha)
+        except BudgetError:
+            return refused, f"clique node budget {CLIQUE_NODE_BUDGET}"
         return {
-            "rep": list(alpha),
             "s_alpha": record.s_alpha,
             "clique": (
                 None
                 if clique is None
                 else [element_json(reps[v]) for v in sorted(clique)]
             ),
-        }
+        }, None
 
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_orbit = list(pool.map(handle, bar))
-    else:
-        per_orbit = [handle(r) for r in bar]
-
-    out_of_budget = [p for p in per_orbit if p.get("budget_exceeded")]
-    if out_of_budget:
+    searches = {}
+    for r in bar:
+        if r.stabilizer not in searches:
+            searches[r.stabilizer] = search(r)
+    per_orbit = [{"rep": list(r.rep), **searches[r.stabilizer][0]} for r in bar]
+    refusals = Counter(searches[r.stabilizer][1] for r in bar)
+    del refusals[None]
+    if refusals:
         return Verdict(
             INCONCLUSIVE,
             BRUTE_FORCE,
-            {"budget_refused": f"{len(out_of_budget)} orbit(s) exceeded the "
-                               f"vertex budget {vertex_budget}"},
+            {"budget_refused": "; ".join(
+                f"{count} orbit(s) exceeded the {budget}"
+                for budget, count in refusals.items()
+            )},
             per_orbit,
         )
     failures = [p for p in per_orbit if p["clique"] is None]

@@ -311,6 +311,18 @@ def test_main_budget_exit_code(tmp_path):
     assert main(["run", str(p), "--budget", "5"]) == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("command", ["run", "chartable", "decide"])
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_main_nonpositive_budget_is_config_error(tmp_path, capsys, command, budget):
+    # validated like budgets.index_budget, before any computation
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}},
+                             "rep": "natural", "n": 3, "tasks": ["orbits"]})
+    assert main([command, str(p), "--budget", budget]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: --budget" in captured.err
+
+
 def test_main_csv_outputs(tmp_path):
     p = write_cfg(
         tmp_path,

@@ -4,12 +4,16 @@ The agreement suite runs every decider against the oracle over small groups
 with their natural representations and insists definite statuses coincide.
 """
 
+import time
+
 import pytest
 
+from ostar import decide
 from ostar.characters import character_table, zero_set
 from ostar.decide import (
     ADMITS,
     BRUTE_FORCE,
+    DEFAULT_VERTEX_BUDGET,
     INCONCLUSIVE,
     LINEAR_CHARACTER,
     MAIN_THEOREM,
@@ -23,7 +27,10 @@ from ostar.decide import (
     decide_pipeline,
     decide_subgroup_criterion,
     find_trivial_stabilizer_alpha,
+    Verdict,
+    _require_validated,
 )
+from ostar.errors import BudgetError
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
@@ -32,11 +39,21 @@ from ostar.groups import (
     build_semidirect,
     build_wreath,
     dihedral,
+    element_json,
     group_pq,
     regular_rep,
     z_group,
 )
-from ostar.symclass import coset_transversal, inner_product, orbit_scan, stabilizer
+from ostar.symclass import (
+    DEFAULT_INDEX_BUDGET,
+    coset_sums,
+    coset_transversal,
+    inner_product,
+    orbit_scan,
+    stabilizer,
+)
+from test_acceptance import TABLE_SUITE, group as suite_group
+from test_random_products import sample_groups
 
 
 def trivial_group():
@@ -307,6 +324,153 @@ def test_brute_force_vertex_budget():
     v = brute_force_verify(D6, D6_REP, CHI2, 3, vertex_budget=2)
     assert v.status == INCONCLUSIVE
     assert "budget_refused" in v.witness
+
+
+def test_brute_force_clique_node_budget(monkeypatch):
+    monkeypatch.setattr(decide, "CLIQUE_NODE_BUDGET", 1)
+    v = brute_force_verify(D6, D6_REP, CHI2, 3)
+    assert v.status == INCONCLUSIVE and v.justification == BRUTE_FORCE
+    assert "clique node budget 1" in v.witness["budget_refused"]
+    assert v.per_orbit
+    assert all(p["clique"] is None and p["budget_exceeded"] for p in v.per_orbit)
+
+
+# -- per-stabilizer oracle against the per-orbit loop -------------------------------------
+
+
+def per_orbit_find_clique(adj, k):
+    """The former _find_clique, kept as a reference: no node budget."""
+    nvert = len(adj)
+    if k <= 0:
+        return []
+    deg = [sum(row) for row in adj]
+    order = sorted(range(nvert), key=lambda v: (-deg[v], v))
+
+    def grow(clique, cands):
+        if len(clique) == k:
+            return clique
+        if len(clique) + len(cands) < k:
+            return None
+        for i, v in enumerate(cands):
+            got = grow(clique + [v], [u for u in cands[i + 1:] if adj[v][u]])
+            if got is not None:
+                return got
+        return None
+
+    return grow([], order)
+
+
+def per_orbit_brute_force_verify(G, rep, chi, n,
+                                 index_budget=DEFAULT_INDEX_BUDGET,
+                                 vertex_budget=DEFAULT_VERTEX_BUDGET):
+    """The former sequential brute_force_verify, kept as a reference: one
+    coset transversal, coset-sum table and clique search per Delta-bar
+    orbit."""
+    _require_validated(G, chi)
+    try:
+        records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
+    except BudgetError as exc:
+        return Verdict(INCONCLUSIVE, BRUTE_FORCE, {"budget_refused": str(exc)})
+    bar = [r for r in records if r.in_delta_bar]
+    if sum(r.s_alpha for r in bar) == 0:
+        return Verdict(
+            INCONCLUSIVE, BRUTE_FORCE, {"zero_dimension": True, "dim": 0}
+        )
+
+    def handle(record):
+        alpha = record.rep
+        reps = coset_transversal(alpha, G, rep)
+        if len(reps) > vertex_budget:
+            return {
+                "rep": list(alpha),
+                "s_alpha": record.s_alpha,
+                "clique": None,
+                "budget_exceeded": True,
+            }
+        sums = coset_sums(chi, G, record.stabilizer)
+        nvert = len(reps)
+        invs = [G.inv(r) for r in reps]
+        adj = [[False] * nvert for _ in range(nvert)]
+        for i in range(nvert):
+            for j in range(i + 1, nvert):
+                if sums[G.mul(reps[j], invs[i])].is_zero():
+                    adj[i][j] = adj[j][i] = True
+        clique = per_orbit_find_clique(adj, record.s_alpha)
+        return {
+            "rep": list(alpha),
+            "s_alpha": record.s_alpha,
+            "clique": (
+                None
+                if clique is None
+                else [element_json(reps[v]) for v in sorted(clique)]
+            ),
+        }
+
+    per_orbit = [handle(r) for r in bar]
+
+    out_of_budget = [p for p in per_orbit if p.get("budget_exceeded")]
+    if out_of_budget:
+        return Verdict(
+            INCONCLUSIVE,
+            BRUTE_FORCE,
+            {"budget_refused": f"{len(out_of_budget)} orbit(s) exceeded the "
+                               f"vertex budget {vertex_budget}"},
+            per_orbit,
+        )
+    failures = [p for p in per_orbit if p["clique"] is None]
+    if failures:
+        return Verdict(
+            NOT_ADMITS,
+            BRUTE_FORCE,
+            {"failing_orbit": failures[0]["rep"],
+             "s_alpha": failures[0]["s_alpha"]},
+            per_orbit,
+        )
+    return Verdict(
+        ADMITS, BRUTE_FORCE, {"orbits_in_delta_bar": len(bar)}, per_orbit
+    )
+
+
+def oracle_differential_cases():
+    """(G, rep, n, vertex_budget) cases: the acceptance table suite at n=2,
+    and at n=3 except D18 and F55 (6 s and 188 s for the per-orbit loop),
+    under natural reps; the random sweep's groups under the regular rep at
+    n=2; and one refusal by the vertex budget."""
+    for n in (2, 3):
+        for name in TABLE_SUITE:
+            if n == 3 and name in ("D18", "F55"):
+                continue
+            G = suite_group(name)
+            yield pytest.param(G, G.natural_rep, n, DEFAULT_VERTEX_BUDGET,
+                               id=f"{name}-n{n}")
+    for seed in (1, 2):
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12)):
+            yield pytest.param(G, regular_rep(G), 2, DEFAULT_VERTEX_BUDGET,
+                               id=f"random{seed}.{i}-n2")
+    G = suite_group("D8")
+    yield pytest.param(G, G.natural_rep, 3, 2, id="D8-n3-vertex2")
+
+
+@pytest.mark.parametrize("G, rep, n, vertex_budget", oracle_differential_cases())
+def test_brute_force_matches_per_orbit_loop(G, rep, n, vertex_budget):
+    for i, chi in enumerate(character_table(G).chars):
+        new = brute_force_verify(G, rep, chi, n, vertex_budget=vertex_budget)
+        old = per_orbit_brute_force_verify(G, rep, chi, n,
+                                           vertex_budget=vertex_budget)
+        assert new.to_json() == old.to_json(), i
+
+
+@pytest.mark.parametrize("name", ["D22", "F55"])
+def test_brute_force_n3_all_characters_fast(name):
+    # the per-orbit loop took minutes on each (81 s and 188 s on a 2-CPU
+    # x86-64 VM); both have few distinct stabilizers
+    start = time.perf_counter()
+    G = dihedral(11) if name == "D22" else group_pq(5, 11, 3)
+    statuses = [brute_force_verify(G, G.natural_rep, chi, 3).status
+                for chi in character_table(G).chars]
+    elapsed = time.perf_counter() - start
+    assert INCONCLUSIVE not in statuses
+    assert elapsed < 3.0, f"{name} n=3 verify took {elapsed:.2f} s"
 
 
 # -- structural verdict properties ----------------------------------------------------------
