@@ -132,42 +132,75 @@ def _orbit_partition(G, rep, m, n, index_budget):
     return parts
 
 
+def _class_profiles(G, rep, m, n, parts):
+    """Profile ids per orbit of the partition and the distinct profiles in
+    order of first occurrence.  A stabilizer's profile is its sorted
+    (class index, count) pairs over the conjugacy classes it meets.  Cached
+    with the partition, since no character enters it."""
+    key = ("profiles", m, n)
+    cached = rep._orbit_cache.get(key)
+    if cached is not None:
+        return cached
+    class_index = G.class_index
+    by_stab = {}
+    index = {}
+    ids = []
+    for _, _, stab in parts:
+        i = by_stab.get(stab)
+        if i is None:
+            counts = {}
+            for h in stab:
+                c = class_index(h)
+                counts[c] = counts.get(c, 0) + 1
+            profile = tuple(sorted(counts.items()))
+            i = by_stab[stab] = index.setdefault(profile, len(index))
+        ids.append(i)
+    cached = (ids, list(index))
+    rep._orbit_cache[key] = cached
+    return cached
+
+
 def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
     """One record per orbit of Gamma_{m,n}, covering it exactly.
 
-    The orbit partition is independent of the character and cached on the
-    representation; the character-dependent fields are recomputed per call.
-    A stabilizer's character sum is sum_C k_C chi(C) over the conjugacy
-    classes C it meets k_C times, computed once per distinct profile of
-    class counts and shared by the orbits with that profile.
+    The orbit partition and every stabilizer's class profile (how many
+    elements it has in each conjugacy class) are independent of the
+    character and cached on the representation.  Per call, the stabilizer
+    character sum sum_C k_C chi(C), its rationality and integrality checks
+    and s_alpha are computed once per distinct profile, at the first orbit
+    that has it, and shared by the orbits with that profile; |G_alpha| is
+    the sum of the counts, so this is exact.
     """
-    classes = G.conjugacy_classes()
-    sums = {}
+    parts = _orbit_partition(G, rep, m, n, index_budget)
+    ids, profiles = _class_profiles(G, rep, m, n, parts)
+    values = [None] * len(profiles)
     records = []
-    for alpha, size, stab in _orbit_partition(G, rep, m, n, index_budget):
-        counts = {}
-        for h in stab:
-            c = G.class_index(h)
-            counts[c] = counts.get(c, 0) + 1
-        profile = tuple(sorted(counts.items()))
-        s = sums.get(profile)
-        if s is None:
-            s = CycloNum.zero()
-            for c, k in profile:
-                s = s + chi.value(classes[c][0]) * k
-            sums[profile] = s
-        try:
-            q = (s * Fraction(chi.degree, len(stab))).as_fraction()
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"stabilizer character sum at {alpha} is not rational: {s}"
-            ) from exc
-        if q.denominator != 1 or q < 0:
-            raise ConsistencyError(
-                f"orbital dimension at {alpha} is {q}, not a nonnegative integer"
-            )
-        records.append(OrbitRecord(alpha, size, stab, s, not s.is_zero(), int(q)))
+    for (alpha, size, stab), i in zip(parts, ids):
+        v = values[i]
+        if v is None:
+            v = values[i] = _profile_value(chi, profiles[i], len(stab), alpha)
+        s, in_delta_bar, s_alpha = v
+        records.append(OrbitRecord(alpha, size, stab, s, in_delta_bar, s_alpha))
     return records
+
+
+def _profile_value(chi, profile, order, alpha):
+    """(stabilizer character sum, in Delta-bar, s_alpha) for a stabilizer
+    of the given class profile and order; alpha names the orbit in errors."""
+    s = CycloNum.zero()
+    for c, k in profile:
+        s = s + chi.values[c] * k
+    try:
+        q = (s * Fraction(chi.degree, order)).as_fraction()
+    except ValueError as exc:
+        raise ConsistencyError(
+            f"stabilizer character sum at {alpha} is not rational: {s}"
+        ) from exc
+    if q.denominator != 1 or q < 0:
+        raise ConsistencyError(
+            f"orbital dimension at {alpha} is {q}, not a nonnegative integer"
+        )
+    return s, not s.is_zero(), int(q)
 
 
 def dim_symmetry_class(G, rep, chi, n) -> int:

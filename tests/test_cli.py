@@ -402,3 +402,27 @@ def test_main_identical_runs_byte_identical(tmp_path):
     assert main(["run", str(p), "--out", str(out1), "--threads", "1"]) == EXIT_OK
     assert main(["run", str(p), "--out", str(out2), "--threads", "4"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+EXPLICIT_REP_D6 = {"A": [3], "H": [2], "phi": [[[2]]], "n": 2, "tasks": ["orbits"]}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("doc, path", [
+    ({**EXPLICIT_REP_D6,
+      "rep": {"explicit": {"degree": 3, "A": [[2.0, 3, 1]], "H": [[1, 3, 2]]}}},
+     "$.rep.explicit.A[0][0]"),
+    ({**EXPLICIT_REP_D6,
+      "rep": {"explicit": {"degree": 3, "A": [[2, 3, 1]], "H": [[1, 3, True]]}}},
+     "$.rep.explicit.H[0][2]"),
+    ({"wreath": {"A": [2], "H": [2], "omega": 2, "action": [[2.0, 1.0]]},
+      "n": 2, "tasks": ["dims"]},
+     "$.wreath.action[0][0]"),
+], ids=["float-rep-entry", "bool-rep-entry", "float-action-entry"])
+def test_main_permutation_entries_must_be_integers(tmp_path, capsys, command, doc, path):
+    # 2.0 == 2 and True == 1, so these pass a sorted-equality check; a float
+    # then crashed the build and a bool was echoed into the report
+    p = write_cfg(tmp_path, doc)
+    assert main([command, str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: expected an integer, got ")

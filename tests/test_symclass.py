@@ -5,6 +5,7 @@ materialized coordinate-wise in the standard basis and their inner products
 recomputed directly, then compared against the closed-form stabilizer sums.
 """
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -543,3 +544,93 @@ def test_gmf_is_permanent_for_trivial_character():
 def test_gmf_rejects_wrong_shape():
     with pytest.raises(ValueError):
         generalized_matrix_function([[1, 2], [3, 4]], CHI2, D6, D6_REP)
+
+
+def test_orbit_scan_reuses_class_profiles_across_characters(monkeypatch):
+    # class profiles are cached with the partition: once one character has
+    # been scanned on (rep, m, n), the others need no class lookups
+    G = dihedral(5)
+    rep = G.natural_rep
+    chars = character_table(G).chars
+    calls = []
+    class_index = G.class_index
+
+    def counting(g):
+        calls.append(g)
+        return class_index(g)
+
+    monkeypatch.setattr(G, "class_index", counting)
+    first = orbit_scan(G, rep, chars[0], rep.degree, 3)
+    assert calls
+    calls.clear()
+    for chi in chars[1:]:
+        assert len(orbit_scan(G, rep, chi, rep.degree, 3)) == len(first)
+    assert calls == []
+    orbit_scan(G, rep, chars[1], rep.degree, 2)  # a new (m, n) profiles afresh
+    assert calls
+
+
+def corrupted(chi, offsets):
+    """A copy of chi whose value at class c is moved by offsets[c]."""
+    bad = copy.copy(chi)
+    bad.values = tuple(v + offsets.get(c, 0) for c, v in enumerate(chi.values))
+    return bad
+
+
+def first_orbit_failure(G, rep, chi, m, n):
+    """The error orbit_scan raised before class profiles were cached: every
+    orbit checked in scan order, each with its own stabilizer sum."""
+    for alpha, size, stab in _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET):
+        s = CycloNum.zero()
+        for h in stab:
+            s = s + chi.values[G.class_index(h)]
+        try:
+            q = (s * Fraction(chi.degree, len(stab))).as_fraction()
+        except ValueError:
+            return f"stabilizer character sum at {alpha} is not rational: {s}"
+        if q.denominator != 1 or q < 0:
+            return f"orbital dimension at {alpha} is {q}, not a nonnegative integer"
+    return None
+
+
+def test_orbit_scan_corrupted_character_names_first_failing_orbit():
+    classes = D6.conjugacy_classes()
+    rot = next(c for c, cls in enumerate(classes) if cycle_count(cls[0], D6_REP) == 1)
+    ref = next(c for c, cls in enumerate(classes) if cycle_count(cls[0], D6_REP) == 2)
+    # the whole-group sum stays 0 (3 * -3 + 2 * 9/2), so (1, 1, 1) passes;
+    # (1, 1, 2), fixed by one reflection, gets 2 - 3 = -1
+    bad = corrupted(CHI2, {ref: -3, rot: Fraction(9, 2)})
+    msg = "orbital dimension at (1, 1, 2) is -1, not a nonnegative integer"
+    assert first_orbit_failure(D6, D6_REP, bad, 3, 2) == msg
+    with pytest.raises(ConsistencyError) as exc:
+        orbit_scan(D6, D6_REP, bad, 3, 2)
+    assert str(exc.value) == msg
+
+
+def test_orbit_scan_corruption_errors_match_per_orbit_checks():
+    # one class moved breaks the whole-group sum, so (1, ..., 1) fails;
+    # two classes moved by |C2| t and -|C1| t keep that sum and push the
+    # first failure to a smaller stabilizer
+    cases = 0
+    for name in ("D6", "D10", "F21"):
+        G = suite_group(name)
+        rep = G.natural_rep
+        sizes = [len(cls) for cls in G.conjugacy_classes()]
+        shifts = []
+        for t in (Fraction(1, 2), -3, root_of_unity(3, 1)):
+            for c1 in range(1, len(sizes)):
+                shifts.append({c1: t})
+                for c2 in range(c1 + 1, len(sizes)):
+                    shifts.append({c1: t * sizes[c2], c2: t * -sizes[c1]})
+        for chi in character_table(G).chars:
+            for offsets in shifts:
+                bad = corrupted(chi, offsets)
+                want = first_orbit_failure(G, rep, bad, rep.degree, 2)
+                if want is None:
+                    orbit_scan(G, rep, bad, rep.degree, 2)
+                    continue
+                with pytest.raises(ConsistencyError) as exc:
+                    orbit_scan(G, rep, bad, rep.degree, 2)
+                assert str(exc.value) == want, (name, offsets)
+                cases += f"at {(1,) * rep.degree} " not in want
+    assert cases > 0
