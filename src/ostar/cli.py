@@ -2,10 +2,10 @@
 
 Config and report are JSON; character tables and orbit reports are also
 exportable as CSV.  Reports are byte-identical across repeated runs.
---threads (and run_job's threads) is accepted and has no effect: the
-oracle runs one search per distinct stabilizer in one thread, and the
-benchmark and scripts still pass it.  Exit codes: 0 ok, 2 config invalid,
-3 budget refused, 4 internal consistency failure.
+--threads K is accepted and ignored, because the benchmark and existing
+scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
+invalid or output not writable, 3 budget refused, 4 internal consistency
+failure.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class JobConfig:
     index_budget: int
     subgroup_bound: int
     output: dict
-    echo: dict               # normalized config for the report
 
 
 def _expect(cond, path, message):
@@ -190,6 +189,9 @@ def parse_config(text: str) -> JobConfig:
         _expect(isinstance(ex, dict) and set(ex) == {"degree", "A", "H"},
                 "$.rep.explicit", "expected the keys degree, A, H")
         _pos_int(ex["degree"], "$.rep.explicit.degree")
+        for k in ("A", "H"):
+            _expect(isinstance(ex[k], list), f"$.rep.explicit.{k}",
+                    "expected a list of permutations")
 
     n = doc.get("n")
     if n is not None:
@@ -218,20 +220,14 @@ def parse_config(text: str) -> JobConfig:
     _expect(isinstance(output, dict), "$.output", "expected an object")
     for k in output:
         _expect(k in {"path", "format"}, f"$.output.{k}", "unknown key")
+    if "path" in output:
+        _expect(isinstance(output["path"], str), "$.output.path", "expected a string")
     if "format" in output:
         _expect(output["format"] in ("json", "csv"), "$.output.format",
                 'expected "json" or "csv"')
 
-    echo = {
-        "group": {kind: payload} if kind != "explicit" else payload,
-        "rep": rep_spec,
-        "n": n,
-        "m": m,
-        "tasks": list(tasks),
-        "budgets": {"index_budget": index_budget, "subgroup_bound": subgroup_bound},
-    }
     return JobConfig(kind, payload, rep_spec, n, m, tasks,
-                     index_budget, subgroup_bound, dict(output), echo)
+                     index_budget, subgroup_bound, dict(output))
 
 
 def build_job(cfg: JobConfig):
@@ -309,10 +305,9 @@ def _verdict_agreement(decided, verified):
     return decided.status == verified.status
 
 
-def run_job(cfg: JobConfig, threads: int = 1) -> dict:
+def run_job(cfg: JobConfig) -> dict:
     """Execute the requested tasks in dependency order and return the
-    report, deterministic for identical configs.  threads is accepted and
-    has no effect; it stays because the benchmark and scripts pass it."""
+    report, deterministic for identical configs."""
     G, rep = build_job(cfg)
     return _run_tasks(cfg, G, rep)[0]
 
@@ -322,7 +317,16 @@ def _run_tasks(cfg, G, rep):
     orbits and dims tasks), which those tasks and the CSV export share."""
     report = {
         "schema": REPORT_SCHEMA,
-        "config": cfg.echo,
+        "config": {
+            "group": (cfg.group_payload if cfg.group_kind == "explicit"
+                      else {cfg.group_kind: cfg.group_payload}),
+            "rep": cfg.rep_spec,
+            "n": cfg.n,
+            "m": cfg.m,
+            "tasks": list(cfg.tasks),
+            "budgets": {"index_budget": cfg.index_budget,
+                        "subgroup_bound": cfg.subgroup_bound},
+        },
         "group": {
             "order": G.order,
             "A_factors": list(G.A.factors),
@@ -460,32 +464,12 @@ _encode_str = json.encoder.encode_basestring_ascii
 _int_text = int.__repr__
 
 
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(k):
-    """A dict key as json.dumps writes it: a scalar key becomes the string
-    of its JSON text."""
-    if isinstance(k, str):
-        return _encode_str(k)
-    if k is None or isinstance(k, (int, float)):
-        return _encode_str(_json_text(k, ""))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-    )
-
-
 def _json_text(o, ind):
     """o as json.dumps(o, sort_keys=True, indent=2) writes it when its line
     starts with ind, a newline plus the current indentation.  Every
-    container is built with one "".join over its pieces."""
+    container is built with one "".join over its pieces.  Reports hold only
+    strings, integers, booleans, None, lists, tuples and dicts with string
+    keys; anything else raises TypeError naming its type."""
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
@@ -496,8 +480,6 @@ def _json_text(o, ind):
         return "false"
     if isinstance(o, int):
         return _int_text(o)
-    if isinstance(o, float):
-        return _float_text(o)
     inner = ind + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
@@ -515,7 +497,9 @@ def _json_text(o, ind):
             return "{}"
         parts = []
         for k, v in sorted(o.items()):
-            parts += (sep, _key_text(k), ": ", _json_text(v, inner))
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+            parts += (sep, _encode_str(k), ": ", _json_text(v, inner))
         parts[0] = "{" + inner
         parts.append(ind + "}")
         return "".join(parts)
@@ -564,18 +548,15 @@ def main(argv=None) -> int:
             sp.add_argument("--budget", type=int,
                             help="override the index budget")
             sp.add_argument("--threads", type=int, default=1,
-                            help="accepted and has no effect; kept because "
-                                 "the benchmark and scripts pass it")
+                            help="accepted and ignored; kept because the "
+                                 "benchmark and scripts pass it")
             sp.add_argument("--verify", action="store_true",
                             help="append an independent brute-force pass")
     args = parser.parse_args(argv)
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -591,10 +572,8 @@ def main(argv=None) -> int:
             cfg.tasks = ("decide",)
         if getattr(args, "verify", False) and "verify" not in cfg.tasks:
             cfg.tasks = tuple(cfg.tasks) + ("verify",)
-        cfg.echo["tasks"] = list(cfg.tasks)
         if args.budget is not None:
             cfg.index_budget = _pos_int(args.budget, "--budget")
-            cfg.echo["budgets"]["index_budget"] = args.budget
 
         out = args.out or cfg.output.get("path")
         fmt = args.format or cfg.output.get("format", "json")
@@ -604,13 +583,18 @@ def main(argv=None) -> int:
         G, rep = build_job(cfg)
         report, scans = _run_tasks(cfg, G, rep)
         payload = report_bytes(report)
-        if out:
-            Path(out).write_bytes(payload)
-        else:
+        if not out:
             sys.stdout.write(payload.decode())
-        if fmt == "csv":
-            for p in _write_csv_outputs(cfg, G, scans, Path(out)):
-                print(f"wrote {p}", file=sys.stderr)
+            return EXIT_OK
+        try:
+            Path(out).write_bytes(payload)
+            written = []
+            if fmt == "csv":
+                written = _write_csv_outputs(cfg, G, scans, Path(out))
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
+        for p in written:
+            print(f"wrote {p}", file=sys.stderr)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,6 @@ from .groups import (
     FAMILIES,
     element_json,
     enumerate_subgroups,
-    regular_rep,
     SUBGROUP_CAP,
 )
 from .symclass import (
@@ -122,37 +121,32 @@ class TrivialStabilizerSearch:
         }
 
 
-def find_trivial_stabilizer_alpha(G, rep, n, m=None,
-                                  index_budget=DEFAULT_INDEX_BUDGET):
-    """Lex-min multi-index with trivial stabilizer, found by an ascending
-    scan when n^m fits the budget; beyond the budget the regular
-    representation still yields a verified witness (a single distinguished
-    letter at the identity's position) without scanning.  An unfaithful
-    representation has none: its kernel lies in every stabilizer."""
-    if m is None:
-        m = rep.degree
-    if m < rep.degree:
-        raise ValueError(f"m = {m} is below the representation degree {rep.degree}")
+def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
+    """Lex-min multi-index of length rep.degree with trivial stabilizer,
+    found by an ascending scan when n^degree fits the budget; beyond the
+    budget the regular representation still yields a verified witness (a
+    single distinguished letter at the identity's position) without
+    scanning.  An unfaithful representation has none: its kernel lies in
+    every stabilizer."""
     if not rep.is_faithful():
         return TrivialStabilizerSearch(None, True, False)
+    m = rep.degree
     total = n**m
     nonid = [g for g in G.elements() if g != G.identity]
     if total <= index_budget:
         invs = [rep.inv_perm(g) for g in nonid]
         for code in range(total):
             alpha = index_from_code(code, m, n)
-            base = alpha[: rep.degree]
             for iv in invs:
-                if tuple(base[j] for j in iv) == base:
+                if tuple(alpha[j] for j in iv) == alpha:
                     break
             else:
                 return TrivialStabilizerSearch(alpha, False, False)
         return TrivialStabilizerSearch(None, True, False)
     if rep.kind == "regular" and n >= 2:
         alpha = tuple(2 if i == 0 else 1 for i in range(m))
-        base = alpha[: rep.degree]
         for g in nonid:
-            if tuple(base[j] for j in rep.inv_perm(g)) == base:
+            if tuple(alpha[j] for j in rep.inv_perm(g)) == alpha:
                 raise ConsistencyError(
                     "regular-representation fast path produced a stabilized index"
                 )
@@ -225,18 +219,19 @@ def decide_main_theorem(G, rep, chi, n,
 _FAMILIES = ("dihedral_odd_s", "pq", "z_group")
 
 
-def decide_named_family(family, params, chi_index, n, rep_kind="natural",
+def decide_named_family(family, params, chi_index, n,
                         index_budget=DEFAULT_INDEX_BUDGET) -> Verdict:
     """Build the named group, pick the chi_index-th character of its
-    deterministic table, and run the semidirect criterion; nothing from the
-    family statement is trusted without re-verification."""
+    deterministic table, and run the semidirect criterion on its natural
+    representation; nothing from the family statement is trusted without
+    re-verification."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
     if family == "dihedral_odd_s" and params["s"] % 2 == 0:
         raise ValueError(f"family dihedral_odd_s requires odd s, got {params['s']}")
     ctor, keys = FAMILIES["dihedral" if family == "dihedral_odd_s" else family]
     G = ctor(*(params[k] for k in keys))
-    rep = G.natural_rep if rep_kind == "natural" else regular_rep(G)
+    rep = G.natural_rep
     table = character_table(G)
     chi = table.chars[chi_index]
     verdict = decide_main_theorem(G, rep, chi, n, index_budget=index_budget)
@@ -338,8 +333,7 @@ def _find_clique(adj, k):
 
 def brute_force_verify(G, rep, chi, n,
                        index_budget=DEFAULT_INDEX_BUDGET,
-                       vertex_budget=DEFAULT_VERTEX_BUDGET,
-                       threads=1) -> Verdict:
+                       vertex_budget=DEFAULT_VERTEX_BUDGET) -> Verdict:
     """Independent exact oracle.
 
     For every orbit representative alpha in Delta-bar, build the
@@ -351,7 +345,7 @@ def brute_force_verify(G, rep, chi, n,
 
     Everything but the representative depends only on G_alpha (alpha.g =
     alpha.g' iff g' g^-1 lies in G_alpha), so rows with one stabilizer share
-    one search.  threads is accepted and has no effect.
+    one search, run in the calling thread.
     """
     _require_validated(G, chi)
     try:

@@ -215,14 +215,6 @@ class Automorphism:
             check=False,
         )
 
-    def inverse(self) -> "Automorphism":
-        back = {v: k for k, v in self._table().items()}
-        return Automorphism(
-            self.group,
-            tuple(back[g] for g in self.group.generators()),
-            check=False,
-        )
-
     def is_identity(self) -> bool:
         return self.gen_images == self.group.generators()
 
@@ -511,14 +503,6 @@ class PermRep:
 
     def inv_perm(self, g):
         return self._inv_of[g]
-
-    def is_homomorphism(self) -> bool:
-        """The construction walk's verdict, always True on a constructed
-        rep: it found perm(x s) == perm(x) perm(s) for every element x and
-        generator s.  That is complete: every y is a word in the
-        generators, so induction on its length gives
-        perm(x y) == perm(x) perm(y) for all x, y."""
-        return True
 
     def is_faithful(self) -> bool:
         if self._faithful is None:

@@ -93,6 +93,11 @@ class OrbitRecord:
 
 
 def _orbit_partition(G, rep, m, n, index_budget):
+    if m != rep.degree:
+        raise ValueError(
+            f"m = {m} does not match the representation degree {rep.degree}; "
+            f"pass rep.extended(m) to pad"
+        )
     total = n**m
     if total > index_budget:
         raise BudgetError(
@@ -161,7 +166,8 @@ def _class_profiles(G, rep, m, n, parts):
 
 
 def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
-    """One record per orbit of Gamma_{m,n}, covering it exactly.
+    """One record per orbit of Gamma_{m,n}, covering it exactly; m must
+    equal rep.degree (pass rep.extended(m) to pad).
 
     The orbit partition and every stabilizer's class profile (how many
     elements it has in each conjugacy class) are independent of the
@@ -346,8 +352,7 @@ def cyclo_rank(rows) -> int:
     return rank
 
 
-def explicit_symmetrized_tensor(alpha, chi, G, rep, n=None,
-                                index_budget=DEFAULT_INDEX_BUDGET):
+def explicit_symmetrized_tensor(alpha, chi, G, rep):
     """Coordinates of the symmetrized tensor of alpha in the standard tensor
     basis, as a sparse map {multi-index: exact value}.
 
@@ -355,11 +360,6 @@ def explicit_symmetrized_tensor(alpha, chi, G, rep, n=None,
     {sigma : alpha.sigma^{-1} = beta}; the support stays inside the orbit of
     alpha, and the map is empty exactly when alpha falls outside Delta-bar.
     """
-    if n is not None and n ** len(alpha) > index_budget:
-        raise BudgetError(
-            f"explicit tensor refused: n^m = {n ** len(alpha)} exceeds the "
-            f"index budget {index_budget}"
-        )
     acc = {}
     for g in G.elements():
         v = chi.value(g)

@@ -15,7 +15,6 @@ from ostar.cli import (
     build_job,
     main,
     parse_config,
-    report_bytes,
     run_job,
 )
 from ostar.errors import BudgetError, ConfigError
@@ -203,18 +202,6 @@ def test_negative_control_distinguishes_justifications():
     assert verify_rows[2]["verdict"]["status"] == "NotAdmits"
     assert verify_rows[2]["verdict"]["justification"] == "BruteForce"
     assert verify_rows[2]["agrees_with_decide"] is None
-
-
-def test_report_bytes_deterministic_and_thread_independent():
-    cfg_text = (
-        '{"family":{"dihedral":{"s":3}},"rep":"natural","n":3,'
-        '"tasks":["decide","verify"]}'
-    )
-    payloads = {
-        report_bytes(run_job(parse_config(cfg_text), threads=t))
-        for t in (1, 1, 4)
-    }
-    assert len(payloads) == 1
 
 
 def test_every_report_number_exact_or_marked_approx():
@@ -426,3 +413,30 @@ def test_main_permutation_entries_must_be_integers(tmp_path, capsys, command, do
     assert main([command, str(p)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: expected an integer, got ")
+
+
+MISSING_DIR = "{tmp}/no/such/dir/report.json"
+
+
+@pytest.mark.parametrize("command, doc, args, named", [
+    ("validate", {**EXPLICIT_REP_D6, "rep": {"explicit": {"degree": 3, "A": 5, "H": [[1, 3, 2]]}}},
+     [], "$.rep.explicit.A"),
+    ("run", {**EXPLICIT_REP_D6, "rep": {"explicit": {"degree": 3, "A": 5, "H": [[1, 3, 2]]}}},
+     [], "$.rep.explicit.A"),
+    ("run", {**EXPLICIT_REP_D6, "rep": {"explicit": {"degree": 3, "A": [[2, 3, 1]], "H": 5}}},
+     [], "$.rep.explicit.H"),
+    ("run", {**EXPLICIT_REP_D6, "output": {"path": 5}}, [], "$.output.path"),
+    ("run", EXPLICIT_REP_D6, ["--out", MISSING_DIR], MISSING_DIR),
+    ("run", {**EXPLICIT_REP_D6, "output": {"path": MISSING_DIR}}, [], MISSING_DIR),
+    ("run", EXPLICIT_REP_D6, ["--format", "csv", "--out", MISSING_DIR], MISSING_DIR),
+], ids=["validate-rep-A-int", "run-rep-A-int", "run-rep-H-int", "output-path-int",
+        "out-missing-dir", "output-path-missing-dir", "csv-missing-dir"])
+def test_main_malformed_config_or_output_exits_2(tmp_path, capsys, command, doc, args, named):
+    # each of these crashed with a TypeError or FileNotFoundError traceback
+    def fill(text):
+        return text.replace("{tmp}", str(tmp_path))
+    p = tmp_path / "job.json"
+    p.write_text(fill(json.dumps(doc)))
+    assert main([command, str(p), *map(fill, args)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fill(named) in err

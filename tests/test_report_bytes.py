@@ -1,6 +1,8 @@
-"""report_bytes against json.dumps: the report writer must produce exactly
-json.dumps(report, sort_keys=True, indent=2) plus a newline, ASCII-encoded,
-and raise TypeError wherever json.dumps does."""
+"""report_bytes against json.dumps: on strings, integers, booleans, None,
+lists, tuples and dicts with string keys, the report writer must produce
+exactly json.dumps(report, sort_keys=True, indent=2) plus a newline,
+ASCII-encoded.  Reports hold nothing else; floats and non-string keys raise
+TypeError naming their type, and other types raise json.dumps' TypeError."""
 
 import json
 from pathlib import Path
@@ -46,17 +48,8 @@ SCALARS = st.one_of(
     st.booleans(),
     st.integers(),
     st.integers(min_value=-(10**300), max_value=10**300),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
     TEXT,
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800"]),
-)
-KEYS = st.one_of(
-    TEXT,
-    st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.none(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é \U0001f600", "\ud800"]),
 )
 VALUES = st.recursive(
     SCALARS,
@@ -64,13 +57,7 @@ VALUES = st.recursive(
         st.lists(children, max_size=6),
         st.lists(children, max_size=6).map(tuple),
         st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
-        # one key type per dict, so sort_keys can order the keys ...
         st.dictionaries(TEXT, children, max_size=5),
-        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()),
-                        children, max_size=5),
-        st.dictionaries(st.none(), children, max_size=1),
-        # ... and mixed key types, where json.dumps raises TypeError
-        st.dictionaries(KEYS, children, max_size=4),
     ),
     max_leaves=30,
 )
@@ -79,22 +66,14 @@ VALUES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(VALUES)
 def test_report_bytes_matches_json_dumps(value):
-    try:
-        want = reference(value)
-    except TypeError as exc:
-        with pytest.raises(TypeError) as got:
-            report_bytes(value)
-        assert str(got.value) == str(exc)
-        return
-    assert report_bytes(value) == want
+    assert report_bytes(value) == reference(value)
 
 
 def test_report_bytes_edge_values():
     for value in ([], {}, [[]], {"a": {}}, [[], [{}]], (), ((1, 2), [True, 3]),
-                  {1: "a", 2.5: None, False: []}, {None: 0}, {"b": 1, "a": [2, {}]},
-                  [-0.0, float("nan"), float("inf"), float("-inf")],
+                  {"b": 1, "a": [2, {}]},
                   {"s": "quote \" slash \\ tab \t nul \x00 é \U0001f600"},
-                  [10**200, -(10**200)], [1, True, 2], None, "x", 7, 1.5):
+                  [10**200, -(10**200)], [1, True, 2], None, "x", 7):
         assert report_bytes(value) == reference(value), value
 
 
@@ -102,13 +81,28 @@ def test_report_bytes_edge_values():
     {1, 2},
     b"bytes",
     object(),
-    {(1, 2): "tuple key"},
     [1, {2}],
     {"a": [b"x"]},
-], ids=["set", "bytes", "object", "tuple-key", "nested-set", "nested-bytes"])
+], ids=["set", "bytes", "object", "nested-set", "nested-bytes"])
 def test_report_bytes_rejects_non_json_types(value):
     with pytest.raises(TypeError) as want:
         reference(value)
     with pytest.raises(TypeError) as got:
         report_bytes(value)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value, type_name", [
+    (1.5, "float"),
+    ([1, 0.0], "float"),
+    ({"a": [float("nan")]}, "float"),
+    ({1: "a"}, "int"),
+    ({False: []}, "bool"),
+    ({None: 0}, "NoneType"),
+    ({2.5: None}, "float"),
+    ({(1, 2): "tuple key"}, "tuple"),
+], ids=["float", "float-in-list", "nested-nan", "int-key", "bool-key",
+        "none-key", "float-key", "tuple-key"])
+def test_report_bytes_rejects_floats_and_non_string_keys(value, type_name):
+    with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
+        report_bytes(value)

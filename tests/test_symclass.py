@@ -458,6 +458,15 @@ def test_orbit_scan_with_padded_rep():
     )
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_orbit_scan_rejects_m_other_than_degree(m):
+    # m = 4 failed the orbit-stabilizer count and m = 2 raised IndexError
+    for scan in (lambda: orbit_scan(D6, D6_REP, CHI2, m, 2),
+                 lambda: _orbit_partition(D6, D6_REP, m, 2, 10**7)):
+        with pytest.raises(ValueError, match=rf"m = {m} .* degree 3"):
+            scan()
+
+
 def test_exact_rank_against_numeric_svd():
     # float oracle: the exact rank over the cyclotomic field must match the
     # numeric rank of the complex Gram matrix (entries are well separated
