@@ -79,11 +79,9 @@ def dual_act(x: DualChar, h, phi: ActionHom) -> DualChar:
     """h . x = x o phi_h, solved back into exponent form."""
     A = x.group
     E = A.exponent
-    aut = phi.automorphism(h)
-    gens = A.generators()
     exps = []
-    for i, n in enumerate(A.factors):
-        t = x.value_exponent(aut.apply(gens[i]))
+    for g, n in zip(A.generators(), A.factors):
+        t = x.value_exponent(phi.apply(h, g))
         step = E // n
         if t % step:
             raise ConsistencyError("dual action did not produce a character")

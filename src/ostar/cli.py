@@ -366,7 +366,7 @@ def _run_tasks(cfg, G, rep):
     if needs_n and cfg.n is None:
         raise ConfigError(f"$.n: required by tasks {needs_n}")
     m_eff = cfg.m if cfg.m is not None else rep.degree
-    rep_eff = rep.extended(m_eff) if m_eff > rep.degree else rep
+    rep_eff = rep.extended(m_eff) if needs_n else rep
     n = cfg.n
     scans = None
     if "orbits" in cfg.tasks or "dims" in cfg.tasks:

@@ -9,6 +9,12 @@ coordinate tuples, which keeps results reproducible bit for bit.
 Permutations are 0-based image tuples and compose left to right:
 (p * q)(x) = q(p(x)).  With that convention the right action on
 multi-indices satisfies (alpha.g).h = alpha.(g h).
+
+The action H -> Aut(A) and every permutation representation are given by
+generator images.  Each is tabulated for every element at construction by
+one checked breadth-first walk of the Cayley graph (_tabulate), which
+refuses images that do not induce a homomorphism.  Groups above ELEMENT_CAP
+are refused (BudgetError) while they are built, before any table is made.
 """
 
 from __future__ import annotations
@@ -45,6 +51,13 @@ __all__ = [
 
 ELEMENT_CAP = 2000   # hard cap for element enumeration
 SUBGROUP_CAP = 200   # hard cap for subgroup-lattice enumeration
+
+
+def _refuse_above_cap(order):
+    if order > ELEMENT_CAP:
+        raise BudgetError(
+            f"refusing to enumerate a group of order {order} (cap {ELEMENT_CAP})"
+        )
 
 
 # -- permutation helpers ------------------------------------------------------
@@ -87,6 +100,36 @@ def _is_perm(p, degree):
     return len(p) == degree and sorted(p) == list(range(degree))
 
 
+def _tabulate(identity, mul, edges, start, compose):
+    """Tabulate the homomorphism that sends each generator s to v_s, for
+    (s, v_s) in edges, or return None if there is none.
+
+    The walk goes over the Cayley graph breadth-first from identity, along
+    the edges x -> mul(x, s).  The first visit of x s sets value(x s) =
+    compose(value(x), v_s), with value(identity) = start; every later visit
+    compares.  That covers every edge, so the result is None exactly when
+    the v_s do not extend to a homomorphism; otherwise it is a dict from
+    each element to its value.
+    """
+    values = {identity: start}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            vx = values[x]
+            for s, vs in edges:
+                y = mul(x, s)
+                vy = compose(vx, vs)
+                known = values.get(y)
+                if known is None:
+                    values[y] = vy
+                    nxt.append(y)
+                elif known != vy:
+                    return None
+        frontier = nxt
+    return values
+
+
 # -- abelian groups -----------------------------------------------------------
 
 
@@ -114,11 +157,7 @@ class AbelianGroup:
 
     def elements(self):
         if self._elements is None:
-            if self.order > ELEMENT_CAP:
-                raise BudgetError(
-                    f"refusing to enumerate a group of order {self.order} "
-                    f"(cap {ELEMENT_CAP})"
-                )
+            _refuse_above_cap(self.order)
             self._elements = tuple(iter_product(*(range(n) for n in self.factors)))
         return self._elements
 
@@ -165,16 +204,16 @@ class AbelianGroup:
 
 
 class Automorphism:
-    """Automorphism of an abelian group, given by generator images.
+    """Automorphism of an abelian group, given by generator images and
+    tabulated at construction.
 
-    Well-definedness is an order-divisibility check; bijectivity is verified
-    by full enumeration at construction.
+    Well-definedness is an order-divisibility check; bijectivity is checked
+    on the table.
     """
 
-    def __init__(self, group: AbelianGroup, gen_images, check: bool = True):
+    def __init__(self, group: AbelianGroup, gen_images):
         self.group = group
         self.gen_images = tuple(tuple(v) for v in gen_images)
-        self._map = None
         if len(self.gen_images) != len(group.factors):
             raise ValueError(
                 f"expected {len(group.factors)} generator images, "
@@ -188,49 +227,18 @@ class Automorphism:
                     f"image of generator {i} must have order dividing {n}; "
                     f"{img} has order {group.order_of(img)}"
                 )
-        if check:
-            if len(set(self._table().values())) != group.order:
-                raise ValueError("generator images do not define a bijection")
-
-    def _table(self):
-        if self._map is None:
-            self._map = {a: self._apply_raw(a) for a in self.group.elements()}
-        return self._map
-
-    def _apply_raw(self, a):
-        acc = self.group.identity
-        for x, img in zip(a, self.gen_images):
-            if x:
-                acc = self.group.add(acc, self.group.mul_scalar(x, img))
-        return acc
+        group.elements()  # refuses groups above ELEMENT_CAP
+        # the order check makes the images well defined, so the walk succeeds
+        self._map = _tabulate(
+            group.identity, group.add,
+            tuple(zip(group.generators(), self.gen_images)),
+            group.identity, group.add,
+        )
+        if len(set(self._map.values())) != group.order:
+            raise ValueError("generator images do not define a bijection")
 
     def apply(self, a):
-        return self._table()[a]
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        return Automorphism(
-            self.group,
-            tuple(self.apply(img) for img in other.gen_images),
-            check=False,
-        )
-
-    def is_identity(self) -> bool:
-        return self.gen_images == self.group.generators()
-
-    @staticmethod
-    def identity(group: AbelianGroup) -> "Automorphism":
-        return Automorphism(group, group.generators(), check=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.group == other.group
-            and self.gen_images == other.gen_images
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.gen_images))
+        return self._map[a]
 
     def __repr__(self):
         return f"Automorphism({self.group!r}, {self.gen_images})"
@@ -238,7 +246,14 @@ class Automorphism:
 
 class ActionHom:
     """Homomorphism H -> Aut(A), by automorphism images of the standard
-    generators of H; validated at construction."""
+    generators of H.
+
+    Construction refuses |A| * |H| above ELEMENT_CAP (BudgetError), then
+    tabulates a -> phi_h(a) for every h by one checked walk of the Cayley
+    graph of H, phi_{h s} = phi_h o phi_s.  The walk checks every edge, so
+    the images are refused (ValueError) exactly when they do not induce a
+    homomorphism.
+    """
 
     def __init__(self, H: AbelianGroup, A: AbelianGroup, images):
         self.H, self.A = H, A
@@ -248,41 +263,28 @@ class ActionHom:
                 f"expected {len(H.factors)} automorphisms (one per generator "
                 f"of H), got {len(self.images)}"
             )
-        for j, (aut, n) in enumerate(zip(self.images, H.factors)):
+        for j, aut in enumerate(self.images):
             if not isinstance(aut, Automorphism) or aut.group != A:
                 raise ValueError(f"image {j} is not an automorphism of {A!r}")
-            p = Automorphism.identity(A)
-            for _ in range(n):
-                p = aut.compose(p)
-            if not p.is_identity():
-                raise ValueError(
-                    f"image of H generator {j} must have order dividing {n}"
-                )
-        for i in range(len(self.images)):
-            for j in range(i + 1, len(self.images)):
-                a, b = self.images[i], self.images[j]
-                if a.compose(b) != b.compose(a):
-                    raise ValueError(
-                        f"automorphism images {i} and {j} do not commute"
-                    )
-        self._auts = {}
+        _refuse_above_cap(A.order * H.order)
+        self._table = _tabulate(
+            H.identity, H.add,
+            tuple(zip(H.generators(), (aut._map for aut in self.images))),
+            {a: a for a in A.elements()},
+            lambda f, g: {a: f[b] for a, b in g.items()},
+        )
+        if self._table is None:
+            raise ValueError(
+                "automorphism images do not induce a homomorphism H -> Aut(A)"
+            )
 
     @staticmethod
     def trivial(H: AbelianGroup, A: AbelianGroup) -> "ActionHom":
-        return ActionHom(H, A, tuple(Automorphism.identity(A) for _ in H.factors))
-
-    def automorphism(self, h) -> Automorphism:
-        aut = self._auts.get(h)
-        if aut is None:
-            aut = Automorphism.identity(self.A)
-            for x, img in zip(h, self.images):
-                for _ in range(x):
-                    aut = img.compose(aut)
-            self._auts[h] = aut
-        return aut
+        identity = Automorphism(A, A.generators())
+        return ActionHom(H, A, (identity,) * len(H.factors))
 
     def apply(self, h, a):
-        return self.automorphism(h).apply(a)
+        return self._table[h][a]
 
 
 # -- semidirect products ------------------------------------------------------
@@ -316,11 +318,7 @@ class SemidirectGroup:
 
     def elements(self):
         if self._elements is None:
-            if self.order > ELEMENT_CAP:
-                raise BudgetError(
-                    f"refusing to enumerate a group of order {self.order} "
-                    f"(cap {ELEMENT_CAP})"
-                )
+            _refuse_above_cap(self.order)
             self._elements = tuple(
                 (a, h) for a in self.A.elements() for h in self.H.elements()
             )
@@ -440,12 +438,10 @@ class PermRep:
     """Permutation representation of a semidirect product, by 0-based image
     permutations of the standard generators of A and of H.
 
-    Construction walks the Cayley graph breadth-first from the identity
-    over the edges x -> x s, s a standard generator.  The first visit of
-    x s sets perm(x s) = perm(x) perm(s) and its inverse; every later visit
-    compares.  That covers all |G| * #gens edges, so the images are refused
-    (ValueError) exactly when they do not induce a homomorphism, and the
-    permutation and inverse permutation of every element are tabulated.
+    Construction tabulates perm(x s) = perm(x) perm(s) by one checked walk
+    of the Cayley graph of G over its standard generators, so the images
+    are refused (ValueError) exactly when they do not induce a
+    homomorphism; the inverse of every permutation is tabulated from it.
     Groups above ELEMENT_CAP are refused with BudgetError, as by every
     element enumeration.
     """
@@ -472,31 +468,14 @@ class PermRep:
             raise ValueError("wrong number of H-generator images")
         self._faithful = None
         group.elements()  # refuses groups above ELEMENT_CAP, like any enumeration
-        edges = [
-            (s, p, pinv(p))
-            for s, p in zip(group.generators(), self.a_images + self.h_images)
-        ]
-        ident = tuple(range(self.degree))
-        self._perm_of = {group.identity: ident}
-        self._inv_of = {group.identity: ident}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                px, qx = self._perm_of[x], self._inv_of[x]
-                for s, ps, qs in edges:
-                    y = group.mul(x, s)
-                    py = pmul(px, ps)
-                    known = self._perm_of.get(y)
-                    if known is None:
-                        self._perm_of[y] = py
-                        self._inv_of[y] = pmul(qs, qx)
-                        nxt.append(y)
-                    elif known != py:
-                        raise ValueError(
-                            "generator images do not induce a homomorphism"
-                        )
-            frontier = nxt
+        self._perm_of = _tabulate(
+            group.identity, group.mul,
+            tuple(zip(group.generators(), self.a_images + self.h_images)),
+            tuple(range(self.degree)), pmul,
+        )
+        if self._perm_of is None:
+            raise ValueError("generator images do not induce a homomorphism")
+        self._inv_of = {g: pinv(p) for g, p in self._perm_of.items()}
 
     def perm(self, g):
         return self._perm_of[g]
@@ -579,6 +558,7 @@ def group_pq(p: int, q: int, r: int) -> SemidirectGroup:
     """The non-abelian group of order p*q as C_q x| C_p, where q is prime,
     p is a prime dividing q - 1 and r has multiplicative order exactly p
     mod q; carries its natural affine degree-q representation."""
+    _refuse_above_cap(p * q)
     if prime_factors(q) != (q,):
         raise ValueError(f"q = {q} is not prime")
     if prime_factors(p) != (p,):
@@ -671,6 +651,7 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
     A, H, om = spec.A, spec.H, spec.omega_size
     if om < 1:
         raise ValueError("Omega must be nonempty")
+    _refuse_above_cap(A.order ** om * H.order)
     if len(spec.h_action) != len(H.factors):
         raise ValueError(
             f"expected {len(H.factors)} Omega-permutations (one per generator "
@@ -699,7 +680,7 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
         for w in range(om):
             for i in range(k_a):
                 images.append(k_gens[sig[w] * k_a + i])
-        return Automorphism(K, images, check=False)
+        return Automorphism(K, images)
 
     phi = ActionHom(H, K, tuple(block_automorphism(sig) for sig in spec.h_action))
     G = build_semidirect(K, H, phi, origin="wreath")

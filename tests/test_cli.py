@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from ostar.cli import (
     run_job,
 )
 from ostar.errors import BudgetError, ConfigError
+from ostar.groups import PermRep
 
 
 def write_cfg(tmp_path, doc, name="job.json"):
@@ -258,6 +260,52 @@ def test_main_validate_refuses_group_above_element_cap(tmp_path, capsys):
     assert "cap 2000" in capsys.readouterr().err
 
 
+def _src_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+UNBOUNDED_CONFIGS = {
+    "explicit": {"A": [3], "H": [1000000000], "phi": [[[1]]],
+                 "rep": "regular", "tasks": []},
+    "z_group": {"family": {"z_group": {"s": 3, "t": 1000000000, "r": 1}},
+                "rep": "natural", "tasks": []},
+    "pq": {"family": {"pq": {"p": 2, "q": 100000000000031, "r": 3}},
+           "rep": "natural", "tasks": []},
+    "wreath": {"wreath": {"A": [2], "H": [1000000000], "omega": 2,
+                          "action": [[2, 1]]},
+               "rep": "natural", "tasks": []},
+}
+
+
+@pytest.mark.parametrize("name", UNBOUNDED_CONFIGS)
+def test_main_validate_refuses_unbounded_construction_at_once(tmp_path, name):
+    # each of these ran an O(order) construction loop before anything
+    # bounded the order; a child process with a timeout keeps a regression
+    # from hanging the suite
+    p = write_cfg(tmp_path, UNBOUNDED_CONFIGS[name])
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "ostar", "validate", str(p)],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=30)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_BUDGET, done.stderr
+    assert "budget refused: refusing to enumerate a group of order" in done.stderr
+    assert "(cap 2000)" in done.stderr
+    assert elapsed < 2.0, f"validate took {elapsed:.2f} s"
+
+
+def test_main_validate_rejects_non_commuting_action(tmp_path, capsys):
+    p = write_cfg(tmp_path, {"A": [2, 2], "H": [2, 2],
+                             "phi": [[[0, 1], [1, 0]], [[1, 0], [1, 1]]],
+                             "rep": "regular", "tasks": []})
+    assert main(["validate", str(p)]) == EXIT_CONFIG
+    assert ("automorphism images do not induce a homomorphism H -> Aut(A)"
+            in capsys.readouterr().err)
+
+
 def test_module_entry_point_runs_cli(tmp_path):
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}})
     env = dict(os.environ)
@@ -368,6 +416,25 @@ def test_main_chartable_subcommand(tmp_path):
     assert "chartable" in report["tasks"]
     degrees = [c["degree"] for c in report["characters"]]
     assert sorted(degrees) == [1, 1, 1, 3, 3]
+
+
+@pytest.mark.parametrize("command", ["run", "chartable"])
+def test_chartable_only_run_does_not_pad_the_rep(tmp_path, monkeypatch, command):
+    # no chartable output reads the representation, so m must cost nothing
+    calls = []
+    real_extended = PermRep.extended
+
+    def counting_extended(self, m):
+        calls.append(m)
+        return real_extended(self, m)
+
+    monkeypatch.setattr(PermRep, "extended", counting_extended)
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "m": 3000000, "tasks": ["chartable"]})
+    out = tmp_path / "table.json"
+    assert main([command, str(p), "--out", str(out)]) == EXIT_OK
+    assert calls == []
+    assert json.loads(out.read_text())["rep"]["degree"] == 3
 
 
 def test_m_override_pads_with_fixed_points(tmp_path):

@@ -7,7 +7,7 @@ Cayley-table construction of the regular representation.
 
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -74,7 +74,7 @@ def test_automorphism_inversion():
     A = AbelianGroup([5])
     inv = Automorphism(A, [(4,)])
     assert inv.apply((2,)) == (3,)
-    assert inv.compose(inv).is_identity()
+    assert all(inv.apply(inv.apply(a)) == a for a in A.elements())
 
 
 def test_automorphism_rejects_non_bijection():
@@ -550,3 +550,95 @@ def test_dihedral_500_build_and_classes_fast():
     elapsed = time.perf_counter() - start
     assert len(classes) == 500 // 2 + 3
     assert elapsed < 2.0, f"dihedral(500) build and classes took {elapsed:.2f} s"
+
+
+def generator_power_action(phi, h, a):
+    """The former ActionHom.apply, kept as a reference: each generator image
+    applied h_j times, every image evaluated from its generator images."""
+    A = phi.A
+    for x, aut in zip(h, phi.images):
+        for _ in range(x):
+            acc = A.identity
+            for y, img in zip(a, aut.gen_images):
+                if y:
+                    acc = A.add(acc, A.mul_scalar(y, img))
+            a = acc
+    return a
+
+
+TEST_WREATHS = (
+    WreathSpec(AbelianGroup([3]), AbelianGroup([4]), 1, ((0,),)),
+    WreathSpec.regular(AbelianGroup([2]), AbelianGroup([3])),
+    WreathSpec.regular(AbelianGroup([2, 2]), AbelianGroup([2])),
+    WreathSpec(AbelianGroup([2]), AbelianGroup([4]), 2, ((1, 0),)),
+    WreathSpec.regular(AbelianGroup([2]), AbelianGroup([4])),
+)
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_SUITE, "wreaths"])
+def test_action_tables_match_generator_power_words(name):
+    if name == "wreaths":
+        groups = [build_wreath(spec) for spec in TEST_WREATHS]
+    else:
+        groups = differential_groups(name)
+    for G in groups:
+        for h in G.H.elements():
+            for a in G.A.elements():
+                assert G.phi.apply(h, a) == generator_power_action(G.phi, h, a)
+
+
+def all_automorphisms(A):
+    out = []
+    for images in product(A.elements(), repeat=len(A.factors)):
+        try:
+            out.append(Automorphism(A, images))
+        except ValueError:
+            pass
+    return out
+
+
+def former_action_checks(H, images):
+    """The former ActionHom validation, kept as a reference: every image
+    has order dividing its H-factor and the images commute pairwise, with
+    automorphisms composed on their generator images."""
+    A = images[0].group
+
+    def apply(gen_images, a):
+        acc = A.identity
+        for x, img in zip(a, gen_images):
+            if x:
+                acc = A.add(acc, A.mul_scalar(x, img))
+        return acc
+
+    def compose(f, g):
+        return tuple(apply(f, img) for img in g)
+
+    gens = [aut.gen_images for aut in images]
+    for f, n in zip(gens, H.factors):
+        p = A.generators()
+        for _ in range(n):
+            p = compose(f, p)
+        if p != A.generators():
+            return False
+    return all(compose(f, g) == compose(g, f) for f, g in combinations(gens, 2))
+
+
+@pytest.mark.parametrize("h_factors", [[2, 2], [2, 1]], ids=["C2xC2", "C2xC1"])
+@pytest.mark.parametrize("a_factors", [[2, 2], [2, 4], [3, 3]],
+                         ids=["C2xC2", "C2xC4", "C3xC3"])
+def test_action_walk_accepts_exactly_the_former_checks(a_factors, h_factors):
+    # [2, 1]: the C_1 generator is the identity of H, so only the identity
+    # automorphism may be its image
+    A, H = AbelianGroup(a_factors), AbelianGroup(h_factors)
+    accepted = 0
+    pairs = list(product(all_automorphisms(A), repeat=2))
+    for images in pairs:
+        try:
+            ActionHom(H, A, images)
+        except ValueError as exc:
+            assert "do not induce a homomorphism" in str(exc)
+            assert not former_action_checks(H, images), images
+        else:
+            assert former_action_checks(H, images), images
+            accepted += 1
+    assert 0 < accepted < len(pairs)

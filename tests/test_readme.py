@@ -1,0 +1,43 @@
+"""README's examples run as written: the library sketch gives the verdicts
+and the rank its comments state, and every command of the CLI block exits
+0."""
+
+import ast
+import shlex
+from pathlib import Path
+
+from ostar.cli import EXIT_OK, main
+from ostar.decide import NOT_ADMITS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_block(heading, lang):
+    """The first ```lang block under the '## heading' section of README."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run_as_stated(tmp_path, monkeypatch):
+    code = readme_block("Library sketch", "python")
+    namespace, values = {}, {}
+    for node in ast.parse(code).body:
+        if isinstance(node, ast.Expr):
+            expr = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(code, node)] = eval(expr, namespace)
+        else:
+            stmt = ast.Module(body=[node], type_ignores=[])
+            exec(compile(stmt, "README.md", "exec"), namespace)
+    assert values["decide_main_theorem(G, rep, chi, n=3)"].status == NOT_ADMITS
+    assert values["brute_force_verify(G, rep, chi, n=2)"].status == NOT_ADMITS
+    assert values["gram((1, 1, 2), chi, G, rep).rank()"] == 2
+
+    monkeypatch.chdir(ROOT)  # the commands name configs/ relative to it
+    commands = [shlex.split(line) for line in readme_block("CLI", "sh").splitlines()]
+    assert commands
+    for i, (prog, *args) in enumerate(commands):
+        assert prog == "ostar"
+        if "--out" in args:
+            k = args.index("--out") + 1
+            args[k] = str(tmp_path / f"{i}-{args[k]}")
+        assert main(args) == EXIT_OK, args
