@@ -18,11 +18,17 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 
-from .cyclotomic import CycloNum, root_of_unity
+from .cyclotomic import (
+    CONDUCTOR_CAP,
+    CycloNum,
+    cyclotomic_polynomial,
+    root_of_unity,
+)
 from .errors import ConsistencyError
 from .groups import AbelianGroup, ActionHom, SemidirectGroup
 
@@ -317,13 +323,176 @@ class TableReport:
         return all(self.checks.values())
 
 
+def _power(G: SemidirectGroup, g, k: int):
+    """g^k for k >= 0, by square-and-multiply on G.mul."""
+    out = G.identity
+    while k:
+        if k & 1:
+            out = G.mul(out, g)
+        g = G.mul(g, g)
+        k >>= 1
+    return out
+
+
+def _unit_generators(E: int) -> list[int]:
+    """A generating set of (Z/E)^*, -1 first, then the least units not yet
+    generated."""
+    gens = [-1]
+    span = {1 % E, -1 % E}
+    for u in range(2, E):
+        if u in span or math.gcd(u, E) != 1:
+            continue
+        gens.append(u)
+        grown = set(span)
+        x = u
+        while x not in span:
+            grown.update(s * x % E for s in span)
+            x = x * u % E
+        span = grown
+    return gens
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases; deterministic below
+    3.3 * 10^24.  Only used to search for a modulus: no conclusion of the
+    table certificate rests on it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _cyclotomic_root_mod(E: int, bound: int):
+    """(p, w) with p = 1 (mod E), p > bound and Phi_E(w) = 0 (mod p), the
+    last checked directly, so that zeta_E -> w is a ring map Z[zeta_E] ->
+    Z/p; None if the search finds no root."""
+    p = (bound // E + 1) * E + 1
+    while not _probable_prime(p):
+        p += E
+    phi = cyclotomic_polynomial(E)
+    for h in range(2, p):
+        w = pow(h, (p - 1) // E, p)
+        acc = 0
+        for c in reversed(phi):
+            acc = (acc * w + c) % p
+        if acc == 0:
+            return p, w
+    return None
+
+
+def _table_certified(chars, G: SemidirectGroup) -> bool:
+    """True only if every check of validate_table passes, shown without its
+    k^2 * #classes exact products (Dixon, Numer. Math. 1967).
+
+    With V[i][c] the value of character i at class c, E the lcm of the
+    value conductors and T_ij = sum_c |c| V[i][c] conj(V[j][c]) - |G| d_ij:
+      1. the degree sum is checked exactly;
+      2. every value is an algebraic integer (denominator 1);
+      3. for each u in a generating set of (Z/E)^*, lifted to u' coprime to
+         |G|, sigma_u(V[i][c]) == V[i][class of rep_c^u'] exactly.  u = -1
+         lifts to u' = -1, which is the conjugate-symmetry check.  As
+         g -> g^u' permutes the classes keeping their sizes, every T_ij is
+         fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
+      4. |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the image
+         of every T_ij, i <= j, under zeta_E -> w in Z/p is 0 for some
+         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.
+    False means only "not shown"; the exact checks then decide.
+    """
+    classes = G.conjugacy_classes()
+    V = [[chi.value(cls[0]) for cls in classes] for chi in chars]
+    total = CycloNum.zero()
+    for chi in chars:
+        v = chi.value(G.identity)
+        total = total + v * v
+    if total != G.order:
+        return False
+    if any(v.den != 1 for row in V for v in row):
+        return False
+    E = math.lcm(*(v.conductor for row in V for v in row))
+    if E > CONDUCTOR_CAP:
+        return False
+
+    # each distinct value once: R[i][c] indexes vals
+    ids = {}
+    R = [[ids.setdefault((v.conductor, v.coeffs), len(ids)) for v in row] for row in V]
+    vals = [CycloNum.from_coeffs(n, coeffs) for n, coeffs in ids]
+
+    sizes = [len(cls) for cls in classes]
+    for u in _unit_generators(E):
+        lift = u
+        while math.gcd(lift, G.order) != 1:
+            lift += E
+        lift %= G.order
+        pi = [G.class_index(_power(G, cls[0], lift)) for cls in classes]
+        sigma = [v._galois(u) for v in vals]
+        for r in R:
+            for a, d in zip(r, pi):
+                if sigma[a] != vals[r[d]]:
+                    return False
+
+    l1 = [sum(map(abs, v.coeffs)) for v in vals]
+    bound = G.order + sum(
+        size * max(l1[r[c]] for r in R) ** 2 for c, size in enumerate(sizes)
+    )
+    found = _cyclotomic_root_mod(E, bound)
+    if found is None:
+        return False
+    p, w = found
+    powers = [1] * E
+    for e in range(1, E):
+        powers[e] = powers[e - 1] * w % p
+
+    def image(v, sign):
+        step = sign * (E // v.conductor)
+        return sum(c * powers[k * step % E] for k, c in enumerate(v.coeffs) if c) % p
+
+    up = [image(v, 1) for v in vals]
+    down = [image(v, -1) for v in vals]
+    X = [[size * up[a] for size, a in zip(sizes, r)] for r in R]
+    Y = [[down[a] for a in r] for r in R]
+    for i, x in enumerate(X):
+        if (sum(map(operator.mul, x, Y[i])) - G.order) % p:
+            return False
+        for y in Y[i + 1:]:
+            if sum(map(operator.mul, x, y)) % p:
+                return False
+    return True
+
+
 def validate_table(chars, G: SemidirectGroup) -> TableReport:
     """Exact completeness, first-orthogonality and conjugate-symmetry checks.
 
     Characters are class functions, so the sums run over classes weighted
     by class size and conjugate symmetry is checked at class representatives.
-    Any failure here must abort downstream decisions for the group.
+    A table that _table_certified proves valid gets the all-true report
+    without the exact loops; any other table runs them, and they alone
+    write the failure messages.  Any failure here must abort downstream
+    decisions for the group.
     """
+    if _table_certified(chars, G):
+        return TableReport(
+            {"degree_sum": True, "orthogonality": True, "conjugate_symmetry": True},
+            [],
+        )
     checks = {}
     failures = []
 

@@ -35,6 +35,7 @@ from .groups import (
     build_semidirect,
     build_wreath,
     element_json,
+    refuse_above_cap,
     regular_rep,
 )
 from .symclass import (
@@ -237,6 +238,7 @@ def build_job(cfg: JobConfig):
         if cfg.group_kind == "explicit":
             A = AbelianGroup(cfg.group_payload["A"])
             H = AbelianGroup(cfg.group_payload["H"])
+            refuse_above_cap(A.order * H.order)
             images = tuple(
                 Automorphism(A, tuple(tuple(img) for img in row))
                 for row in cfg.group_payload["phi"]

@@ -128,8 +128,9 @@ class CycloNum:
 
     @staticmethod
     def _make(n: int, vec, den: int = 1) -> "CycloNum":
-        # vec: integer numerators of any length, den > 0
-        _check_conductor(n)
+        # vec: integer numerators of any length, den > 0.  n is not checked
+        # here: the constructors and promote check every conductor a caller
+        # supplies, and arithmetic only reuses conductors already checked
         if len(vec) != _low_terms(n)[0]:
             vec = _reduce_mod_phi(vec, n)
         if den != 1:
@@ -143,24 +144,28 @@ class CycloNum:
 
     @staticmethod
     def zero(conductor: int = 1) -> "CycloNum":
+        _check_conductor(conductor)
         return CycloNum._make(conductor, [0])
 
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "CycloNum":
         if not isinstance(q, int):
             q = Fraction(q)
+        _check_conductor(conductor)
         return CycloNum._make(conductor, [q.numerator], q.denominator)
 
     @staticmethod
     def from_coeffs(conductor: int, coeffs: Sequence) -> "CycloNum":
         """Build from rational coefficients of zeta^0, zeta^1, ... and normalize."""
         if all(type(c) is int for c in coeffs):
-            return CycloNum._make(conductor, list(coeffs))
-        fr = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        vec = [f.numerator * (den // f.denominator) for f in fr]
+            vec, den = list(coeffs), 1
+        else:
+            fr = [Fraction(c) for c in coeffs]
+            den = 1
+            for f in fr:
+                den = den * f.denominator // math.gcd(den, f.denominator)
+            vec = [f.numerator * (den // f.denominator) for f in fr]
+        _check_conductor(conductor)
         return CycloNum._make(conductor, vec, den)
 
     @staticmethod
@@ -186,6 +191,7 @@ class CycloNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 vec[i * k] = c
+        _check_conductor(conductor)
         return CycloNum._make(conductor, vec, self.den)
 
     def _pair(self, other: "CycloNum"):

@@ -47,16 +47,25 @@ __all__ = [
     "pmul",
     "pinv",
     "perm_cycle_count",
+    "refuse_above_cap",
 ]
 
 ELEMENT_CAP = 2000   # hard cap for element enumeration
 SUBGROUP_CAP = 200   # hard cap for subgroup-lattice enumeration
 
 
-def _refuse_above_cap(order):
+def refuse_above_cap(order):
+    """Raise BudgetError if a group of this order is above ELEMENT_CAP.
+
+    Orders too long for the interpreter's int-to-decimal limit are named by
+    their bit length instead."""
     if order > ELEMENT_CAP:
+        try:
+            text = str(order)
+        except ValueError:
+            text = f"at least 2^{order.bit_length() - 1}"
         raise BudgetError(
-            f"refusing to enumerate a group of order {order} (cap {ELEMENT_CAP})"
+            f"refusing to enumerate a group of order {text} (cap {ELEMENT_CAP})"
         )
 
 
@@ -157,7 +166,7 @@ class AbelianGroup:
 
     def elements(self):
         if self._elements is None:
-            _refuse_above_cap(self.order)
+            refuse_above_cap(self.order)
             self._elements = tuple(iter_product(*(range(n) for n in self.factors)))
         return self._elements
 
@@ -266,7 +275,7 @@ class ActionHom:
         for j, aut in enumerate(self.images):
             if not isinstance(aut, Automorphism) or aut.group != A:
                 raise ValueError(f"image {j} is not an automorphism of {A!r}")
-        _refuse_above_cap(A.order * H.order)
+        refuse_above_cap(A.order * H.order)
         self._table = _tabulate(
             H.identity, H.add,
             tuple(zip(H.generators(), (aut._map for aut in self.images))),
@@ -318,7 +327,7 @@ class SemidirectGroup:
 
     def elements(self):
         if self._elements is None:
-            _refuse_above_cap(self.order)
+            refuse_above_cap(self.order)
             self._elements = tuple(
                 (a, h) for a in self.A.elements() for h in self.H.elements()
             )
@@ -545,6 +554,7 @@ def dihedral(s: int) -> SemidirectGroup:
     action, carrying its natural degree-s representation."""
     if s < 3:
         raise ValueError(f"dihedral requires s >= 3, got {s}")
+    refuse_above_cap(2 * s)
     A, H = AbelianGroup((s,)), AbelianGroup((2,))
     phi = ActionHom(H, A, (Automorphism(A, (((-1) % s,),)),))
     G = build_semidirect(A, H, phi, origin="dihedral")
@@ -558,7 +568,7 @@ def group_pq(p: int, q: int, r: int) -> SemidirectGroup:
     """The non-abelian group of order p*q as C_q x| C_p, where q is prime,
     p is a prime dividing q - 1 and r has multiplicative order exactly p
     mod q; carries its natural affine degree-q representation."""
-    _refuse_above_cap(p * q)
+    refuse_above_cap(p * q)
     if prime_factors(q) != (q,):
         raise ValueError(f"q = {q} is not prime")
     if prime_factors(p) != (p,):
@@ -590,6 +600,7 @@ def z_group(s: int, t: int, r: int) -> SemidirectGroup:
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
+    refuse_above_cap(s * t)
     if math.gcd(s, t) != 1:
         raise ValueError(f"gcd(s, t) must be 1, got gcd({s}, {t}) = {math.gcd(s, t)}")
     if pow(r, t, s) != 1 % s:
@@ -651,7 +662,7 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
     A, H, om = spec.A, spec.H, spec.omega_size
     if om < 1:
         raise ValueError("Omega must be nonempty")
-    _refuse_above_cap(A.order ** om * H.order)
+    refuse_above_cap(A.order ** om * H.order)
     if len(spec.h_action) != len(H.factors):
         raise ValueError(
             f"expected {len(H.factors)} Omega-permutations (one per generator "

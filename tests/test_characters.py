@@ -6,11 +6,14 @@ conjugation-sum evaluation run against the abelian fast path.
 """
 
 import io
+import math
 from fractions import Fraction
 
 import pytest
 
 from ostar.characters import (
+    _table_certified,
+    _unit_generators,
     char_value_general,
     character_table,
     cyclic_decomposition,
@@ -469,6 +472,122 @@ def test_validate_table_matches_per_element_sums():
             report = validate_table(chars, G)
             assert not report.ok
             assert report == per_element_report(chars, G), (G, bad)
+
+
+class _Scaled:
+    """Wraps a character but scales its value at one conjugacy class, or at
+    every class if none is given."""
+
+    def __init__(self, chi, factor, bad_class=None):
+        self._chi = chi
+        self._factor = factor
+        self._bad = bad_class
+        self.degree = chi.degree
+        self.G = chi.G
+
+    def value(self, g):
+        if self._bad in (None, self.G.class_index(g)):
+            return self._chi.value(g) * self._factor
+        return self._chi.value(g)
+
+
+class _Swapped:
+    """Wraps a character but exchanges its values at classes c and d."""
+
+    def __init__(self, chi, c, d):
+        self._chi = chi
+        self._swap = {c: d, d: c}
+        self.degree = chi.degree
+        self.G = chi.G
+
+    def value(self, g):
+        k = self.G.class_index(g)
+        return self._chi.values[self._swap.get(k, k)]
+
+
+def test_table_certificate_accepts_every_valid_table():
+    for label, G in class_function_groups():
+        assert _table_certified(character_table(G).chars, G), label
+
+
+def _mutated_tables():
+    # (label, chars, G): one corrupted class value, a duplicated row, a
+    # dropped row and a value with denominator 2, each in groups with real
+    # and non-real values; then two tables that only one step rejects
+    for G in (dihedral(3), group_pq(3, 7, 2), dihedral(8)):
+        chars = character_table(G).chars
+        nonlinear = next(i for i, chi in enumerate(chars) if chi.degree > 1)
+        for bad in range(1, len(G.conjugacy_classes())):
+            mutated = list(chars)
+            mutated[nonlinear] = _Corrupted(chars[nonlinear], bad_class=bad)
+            yield f"{G} corrupted at class {bad}", mutated, G
+            if chars[nonlinear].values[bad].is_zero():
+                continue
+            mutated = list(chars)
+            mutated[nonlinear] = _Scaled(chars[nonlinear], Fraction(1, 2), bad)
+            yield f"{G} halved at class {bad}", mutated, G
+        # both rows linear, so the degree sum still holds
+        assert chars[0].degree == chars[1].degree == 1
+        yield f"{G} duplicated row", [chars[0], chars[0], *chars[2:]], G
+        yield f"{G} last row dropped", chars[:-1], G
+    # exchanging a real class with a non-real one of the same size in every
+    # row keeps the degree sum and orthogonality; only the Galois step sees
+    # that conjugate symmetry fails
+    G = direct_product([6], [2])
+    classes = G.conjugacy_classes()
+    real = next(c for c in range(1, len(classes)) if G.inv(classes[c][0]) in classes[c])
+    nonreal = next(c for c in range(len(classes)) if G.inv(classes[c][0]) not in classes[c])
+    assert len(classes[real]) == len(classes[nonreal])
+    chars = character_table(G).chars
+    yield f"{G} classes swapped", [_Swapped(chi, real, nonreal) for chi in chars], G
+    # the first linear row doubled, with the degree-2 row and no others,
+    # keeps the degree sum (4 + 4 = 8) and the relation between the two
+    # rows; only the diagonal relation fails
+    G = dihedral(4)
+    chars = character_table(G).chars
+    assert [chi.degree for chi in chars] == [1, 1, 2, 1, 1]
+    yield f"{G} doubled row", [_Scaled(chars[0], 2), chars[2]], G
+
+
+def test_table_certificate_rejects_mutated_tables():
+    for label, chars, G in _mutated_tables():
+        assert not _table_certified(chars, G), label
+        report = validate_table(chars, G)
+        assert not report.ok, label
+        assert report == per_element_report(chars, G), label
+
+
+def test_unit_generators_generate_the_unit_group():
+    for E in range(1, 200):
+        gens = _unit_generators(E)
+        assert gens[0] == -1
+        span = {1 % E}
+        frontier = [1 % E]
+        while frontier:
+            x = frontier.pop()
+            for u in gens:
+                y = x * u % E
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        assert span == {u for u in range(E) if math.gcd(u, E) == 1}, E
+
+
+def test_table_validation_makes_no_exact_orthogonality_products(monkeypatch):
+    # the certificate multiplies CycloNums only for the degree sum (k
+    # products); the exact loops would make about k^2 * #classes / 2
+    G = dihedral(45)
+    chars = character_table(G).chars
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counting_mul)
+    assert validate_table(chars, G).ok
+    assert 0 < len(calls) <= 2 * len(chars)
 
 
 # -- zero sets ------------------------------------------------------------------------

@@ -297,6 +297,32 @@ def test_main_validate_refuses_unbounded_construction_at_once(tmp_path, name):
     assert elapsed < 2.0, f"validate took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("doc, order", [
+    ({"family": {"dihedral": {"s": 5000}}}, "10000"),
+    ({"family": {"z_group": {"s": 3001, "t": 2, "r": 3000}}}, "6002"),
+    ({"A": [3001], "H": [2], "phi": [[[1]]], "rep": "regular", "tasks": []}, "6002"),
+])
+def test_main_validate_refusal_names_the_group_order(tmp_path, capsys, doc, order):
+    # the order of G = A x| H, not of A, whose automorphisms were built first
+    p = write_cfg(tmp_path, doc)
+    assert main(["validate", str(p)]) == EXIT_BUDGET
+    assert (f"refusing to enumerate a group of order {order} (cap 2000)"
+            in capsys.readouterr().err)
+
+
+def test_main_validate_refuses_order_past_the_decimal_digit_limit(tmp_path, capsys):
+    # 1000^2000 * 2 has 6001 decimal digits, past the interpreter's default
+    # int-to-str limit of 4300
+    action = [[2, 1, *range(3, 2001)]]
+    p = write_cfg(tmp_path, {"wreath": {"A": [1000], "H": [2], "omega": 2000,
+                                        "action": action},
+                             "rep": "natural", "tasks": []})
+    assert main(["validate", str(p)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert ("refusing to enumerate a group of order at least 2^19932 (cap 2000)"
+            in err)
+
+
 def test_main_validate_rejects_non_commuting_action(tmp_path, capsys):
     p = write_cfg(tmp_path, {"A": [2, 2], "H": [2, 2],
                              "phi": [[[0, 1], [1, 0]], [[1, 0], [1, 1]]],

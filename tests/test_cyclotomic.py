@@ -48,6 +48,26 @@ def test_conductor_cap_enforced():
         root_of_unity(0, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CycloNum.zero(0),
+    lambda: CycloNum.zero(CONDUCTOR_CAP + 1),
+    lambda: CycloNum.from_rational(Fraction(1, 3), -2),
+    lambda: CycloNum.from_rational(1, CONDUCTOR_CAP + 1),
+    lambda: CycloNum.from_coeffs(0, [1]),
+    lambda: CycloNum.from_coeffs(CONDUCTOR_CAP + 1, [Fraction(1, 2)]),
+    lambda: zeta(3, 1).promote(0),
+    lambda: zeta(3, 1).promote(3 * 4000),
+    lambda: zeta(9973, 1) + zeta(2, 1),
+    lambda: zeta(9973, 1) * zeta(3, 1),
+    lambda: zeta(9973, 1) == zeta(3, 1),
+])
+def test_conductor_checked_at_every_entry_point(make):
+    # arithmetic results are not re-checked, so every conductor a caller
+    # supplies, and every lcm of two, must be checked where it enters
+    with pytest.raises(ConductorError):
+        make()
+
+
 # -- roots of unity ------------------------------------------------------------
 
 
