@@ -59,7 +59,6 @@ from .symclass import (
     generalized_matrix_function,
     gram,
     inner_product,
-    inner_product_pair,
     orbit_scan,
     stabilizer,
     tensor_inner,

@@ -26,6 +26,7 @@ from itertools import product as iter_product
 from .cyclotomic import (
     CONDUCTOR_CAP,
     CycloNum,
+    cyclo_csv,
     cyclotomic_polynomial,
     root_of_unity,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "char_value_general",
     "validate_table",
     "character_table",
+    "validated_table",
     "zero_set",
     "export_chartable_csv",
 ]
@@ -71,9 +73,6 @@ class DualChar:
 
     def value(self, a) -> CycloNum:
         return root_of_unity(self.group.exponent, self.value_exponent(a))
-
-    def code(self) -> int:
-        return self.group.code(self.exponents)
 
 
 def dual_group(A: AbelianGroup) -> tuple[DualChar, ...]:
@@ -141,7 +140,7 @@ def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualO
         seen.update(members)
         if len(members) * len(stab) != H.order:
             raise ConsistencyError("orbit-stabilizer count failed on the dual group")
-        ordered = tuple(members[e] for e in sorted(members, key=A.code))
+        ordered = tuple(members[e] for e in sorted(members))
         orbits.append(DualOrbit(x, ordered, tuple(stab), phi, H))
     return tuple(orbits)
 
@@ -152,7 +151,7 @@ def cyclic_decomposition(sub, H: AbelianGroup):
 
     Backtracking search: repeatedly adjoin an element of maximal order whose
     cyclic span meets the current span trivially.  Deterministic because
-    candidates are tried in (order desc, code asc) order.
+    candidates are tried in (order desc, tuple asc) order.
     """
     sub = frozenset(sub)
     ident = H.identity
@@ -167,7 +166,7 @@ def cyclic_decomposition(sub, H: AbelianGroup):
             z = H.add(z, y)
         return out
 
-    cands = sorted(sub, key=lambda y: (-H.order_of(y), H.code(y)))
+    cands = sorted(sub, key=lambda y: (-H.order_of(y), y))
 
     def extend(span, gens):
         if len(span) == len(sub):
@@ -203,9 +202,6 @@ class LinearChar:
         self.exponents = tuple(exponents)
         self.conductor = math.lcm(*self.orders) if self.orders else 1
         self._coords = coords
-
-    def members(self):
-        return self._coords.keys()
 
     def value_exponent(self, h) -> int:
         L = self.conductor
@@ -551,6 +547,17 @@ def character_table(G: SemidirectGroup) -> CharTable:
     return G._char_table
 
 
+def validated_table(G: SemidirectGroup) -> CharTable:
+    """character_table(G) if its report is ok; otherwise ConsistencyError
+    naming every failure, which must abort every decision for G."""
+    table = character_table(G)
+    if not table.report.ok:
+        raise ConsistencyError(
+            "character table failed validation: " + "; ".join(table.report.failures)
+        )
+    return table
+
+
 def zero_set(chi: IrredChar) -> frozenset:
     """All group elements where the character vanishes (exact test)."""
     out = []
@@ -563,19 +570,6 @@ def zero_set(chi: IrredChar) -> frozenset:
 def element_label(g) -> str:
     a, h = g
     return ",".join(map(str, a)) + "|" + ",".join(map(str, h))
-
-
-def approx_str(z: complex) -> str:
-    return f"{z.real:.10g}{z.imag:+.10g}j"
-
-
-def exact_cell(v: CycloNum) -> str:
-    """conductor:coefficient list over the power basis, exact Fractions;
-    rational values are presented at conductor 1."""
-    if v.is_rational() and v.conductor != 1:
-        v = CycloNum.from_rational(v.as_fraction())
-    fr = v.rational_coeffs()[: len(v.coeffs)]
-    return f"{v.conductor}:" + ";".join(str(f) for f in fr)
 
 
 def export_chartable_csv(G: SemidirectGroup, chars, stream) -> None:
@@ -592,6 +586,5 @@ def export_chartable_csv(G: SemidirectGroup, chars, stream) -> None:
     for idx, chi in enumerate(chars):
         row = [f"chi{idx}", chi.degree]
         for g in reps:
-            v = chi.value(g)
-            row += [exact_cell(v), approx_str(v.evalf())]
+            row += cyclo_csv(chi.value(g))
         w.writerow(row)

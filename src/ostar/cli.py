@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .characters import character_table, export_chartable_csv, element_label
+from .characters import element_label, export_chartable_csv, validated_table
 from .cyclotomic import cyclo_json
 from .decide import (
     INCONCLUSIVE,
@@ -346,12 +346,7 @@ def _run_tasks(cfg, G, rep):
     if not cfg.tasks:
         return report, None
 
-    table = character_table(G)
-    if not table.report.ok:
-        raise ConsistencyError(
-            "character table failed validation: "
-            + "; ".join(table.report.failures)
-        )
+    table = validated_table(G)
     report["table_validation"] = dict(table.report.checks)
     report["characters"] = [
         {
@@ -510,7 +505,7 @@ def _json_text(o, ind):
 
 def _write_csv_outputs(cfg, G, scans, out_path: Path) -> list:
     """Derive CSV table files next to the JSON report."""
-    table = character_table(G)
+    table = validated_table(G)
     written = []
     base = out_path.with_suffix("") if out_path.suffix == ".json" else out_path
     if "chartable" in cfg.tasks:

@@ -30,6 +30,7 @@ __all__ = [
     "cyclotomic_polynomial",
     "root_of_unity",
     "cyclo_json",
+    "cyclo_csv",
     "prime_factors",
     "semigroup_member",
     "lam_leung_certifies_nonzero",
@@ -400,19 +401,33 @@ def root_of_unity(n: int, e: int) -> CycloNum:
     return _root(n, e % n)
 
 
+def _presented(v: CycloNum):
+    """(conductor, power-basis coefficients as Fractions, float text) of v
+    as every report shows it: rational values at conductor 1."""
+    if v.is_rational() and v.conductor != 1:
+        v = CycloNum.from_rational(v.as_fraction())
+    z = v.evalf()
+    return (v.conductor, v.rational_coeffs()[: len(v.coeffs)],
+            f"{z.real:.10g}{z.imag:+.10g}j")
+
+
 def cyclo_json(v: CycloNum) -> dict:
     """JSON view: conductor plus [numerator, denominator] pairs for the
     power-basis coefficients; the float rendering is explicitly marked as an
-    approximation.  Rational values are presented at conductor 1."""
-    if v.is_rational() and v.conductor != 1:
-        v = CycloNum.from_rational(v.as_fraction())
-    fr = v.rational_coeffs()[: len(v.coeffs)]
-    z = v.evalf()
+    approximation."""
+    conductor, fr, approx = _presented(v)
     return {
-        "conductor": v.conductor,
+        "conductor": conductor,
         "coeffs": [[f.numerator, f.denominator] for f in fr],
-        "approx": f"{z.real:.10g}{z.imag:+.10g}j",
+        "approx": approx,
     }
+
+
+def cyclo_csv(v: CycloNum) -> list:
+    """CSV view: the exact cell "conductor:c0;c1;..." with Fraction
+    coefficients, then the float approximation."""
+    conductor, fr, approx = _presented(v)
+    return [f"{conductor}:" + ";".join(map(str, fr)), approx]
 
 
 # -- numerical semigroup membership -----------------------------------------

@@ -26,8 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .characters import character_table, zero_set
-from .cyclotomic import SemigroupQuery, prime_factors, semigroup_member
+from .characters import character_table, validated_table, zero_set
+from .cyclotomic import lam_leung_certifies_nonzero, prime_factors
 from .errors import BudgetError, ConsistencyError
 from .groups import (
     FAMILIES,
@@ -75,7 +75,7 @@ NAMED_FAMILY = "NamedFamilyCorollary"
 SUBGROUP_CRITERION = "SubgroupCriterion"
 BRUTE_FORCE = "BruteForce"
 
-DEFAULT_VERTEX_BUDGET = 512
+VERTEX_BUDGET = 512
 CLIQUE_NODE_BUDGET = 1_000_000
 
 
@@ -120,6 +120,13 @@ class TrivialStabilizerSearch:
             "fast_path": self.fast_path,
         }
 
+    @property
+    def failed_hypothesis(self) -> str:
+        """The name of the hypothesis that fails when alpha is None."""
+        if self.proven_none:
+            return "no_trivial_stabilizer_alpha"
+        return "trivial_stabilizer_search_out_of_budget"
+
 
 def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     """Lex-min multi-index of length rep.degree with trivial stabilizer,
@@ -154,25 +161,18 @@ def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     return TrivialStabilizerSearch(None, False, False)
 
 
-def _require_validated(G, chi):
-    table = character_table(G)
-    if not table.report.ok:
-        raise ConsistencyError(
-            "character table failed validation: " + "; ".join(table.report.failures)
-        )
+def _require_validated(G, rep, chi):
+    validated_table(G)
     if chi.G is not G:
         raise ValueError("character does not belong to this group")
-    return table
+    if rep.group is not G:
+        raise ValueError("representation does not belong to this group")
 
 
 def _semigroup_facts(G):
-    primes = prime_factors(G.A.order)
     k = G.H.order
-    if primes:
-        member = semigroup_member(SemigroupQuery(k, frozenset(primes)))
-    else:
-        member = k == 0
-    return {"k": k, "primes": list(primes), "member": member}
+    return {"k": k, "primes": list(prime_factors(G.A.order)),
+            "member": not lam_leung_certifies_nonzero(k, G.A.order)}
 
 
 def decide_main_theorem(G, rep, chi, n,
@@ -182,7 +182,7 @@ def decide_main_theorem(G, rep, chi, n,
     N_0<Prime(|A|)>.  Linear characters short-circuit to Admits; a
     zero-dimensional class is reported as such rather than as a vacuous
     Admits."""
-    _require_validated(G, chi)
+    _require_validated(G, rep, chi)
     justification = WREATH_COROLLARY if G.origin == "wreath" else MAIN_THEOREM
     dim = dim_symmetry_class(G, rep, chi, n)
     if dim == 0:
@@ -205,11 +205,7 @@ def decide_main_theorem(G, rep, chi, n,
         )
     failed = []
     if search.alpha is None:
-        failed.append(
-            "no_trivial_stabilizer_alpha"
-            if search.proven_none
-            else "trivial_stabilizer_search_out_of_budget"
-        )
+        failed.append(search.failed_hypothesis)
     if sg["member"]:
         failed.append("H_order_in_semigroup")
     witness["failed_hypotheses"] = failed
@@ -247,7 +243,7 @@ def decide_subgroup_criterion(G, rep, chi, n,
                               index_budget=DEFAULT_INDEX_BUDGET) -> Verdict:
     """Non-existence when some multi-index has trivial stabilizer and some
     subgroup avoids the character's zero set at index below chi(e)^2."""
-    _require_validated(G, chi)
+    _require_validated(G, rep, chi)
     if chi.degree == 1:
         return Verdict(
             INCONCLUSIVE,
@@ -260,9 +256,7 @@ def decide_subgroup_criterion(G, rep, chi, n,
             INCONCLUSIVE,
             SUBGROUP_CRITERION,
             {"alpha_search": search.to_json(),
-             "failed_hypotheses": ["no_trivial_stabilizer_alpha"
-                                   if search.proven_none
-                                   else "trivial_stabilizer_search_out_of_budget"]},
+             "failed_hypotheses": [search.failed_hypothesis]},
         )
     try:
         subs = enumerate_subgroups(G, bound=subgroup_bound)
@@ -273,7 +267,7 @@ def decide_subgroup_criterion(G, rep, chi, n,
     zeros = zero_set(chi)
     target = chi.degree**2
     # larger subgroups first: smaller index, stronger witness, deterministic
-    for S in sorted(subs, key=lambda S: (-len(S), sorted(map(G.element_code, S)))):
+    for S in sorted(subs, key=lambda S: (-len(S), sorted(S))):
         if G.order >= len(S) * target:
             continue  # index not below chi(e)^2
         if any(g in zeros for g in S):
@@ -283,10 +277,7 @@ def decide_subgroup_criterion(G, rep, chi, n,
             SUBGROUP_CRITERION,
             {
                 "alpha": list(search.alpha),
-                "subgroup": sorted(
-                    (element_json(g) for g in S),
-                    key=lambda e: (e[0], e[1]),
-                ),
+                "subgroup": [element_json(g) for g in sorted(S)],
                 "subgroup_order": len(S),
                 "index": G.order // len(S),
                 "chi_degree_squared": target,
@@ -332,8 +323,7 @@ def _find_clique(adj, k):
 
 
 def brute_force_verify(G, rep, chi, n,
-                       index_budget=DEFAULT_INDEX_BUDGET,
-                       vertex_budget=DEFAULT_VERTEX_BUDGET) -> Verdict:
+                       index_budget=DEFAULT_INDEX_BUDGET) -> Verdict:
     """Independent exact oracle.
 
     For every orbit representative alpha in Delta-bar, build the
@@ -345,9 +335,10 @@ def brute_force_verify(G, rep, chi, n,
 
     Everything but the representative depends only on G_alpha (alpha.g =
     alpha.g' iff g' g^-1 lies in G_alpha), so rows with one stabilizer share
-    one search, run in the calling thread.
+    one search.  Past VERTEX_BUDGET cosets or CLIQUE_NODE_BUDGET search
+    nodes a stabilizer's rows are refused, and the verdict is Inconclusive.
     """
-    _require_validated(G, chi)
+    _require_validated(G, rep, chi)
     try:
         records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
     except BudgetError as exc:
@@ -364,8 +355,8 @@ def brute_force_verify(G, rep, chi, n,
         reps = coset_transversal(record.rep, G, rep)
         refused = {"s_alpha": record.s_alpha, "clique": None,
                    "budget_exceeded": True}
-        if len(reps) > vertex_budget:
-            return refused, f"vertex budget {vertex_budget}"
+        if len(reps) > VERTEX_BUDGET:
+            return refused, f"vertex budget {VERTEX_BUDGET}"
         sums = coset_sums(chi, G, record.stabilizer)
         nvert = len(reps)
         invs = [G.inv(r) for r in reps]

@@ -3,8 +3,9 @@ products, permutation representations, and subgroup enumeration.
 
 Elements of an abelian group are coordinate tuples; elements of a semidirect
 product are (a, h) pairs of such tuples.  "Lex-min", coset representatives
-and every other ordering refer to the mixed-radix integer encoding of the
-coordinate tuples, which keeps results reproducible bit for bit.
+and every other ordering are tuple order, which is the order of the
+mixed-radix integer encoding (code, element_code) of the coordinates, so
+results are reproducible bit for bit.
 
 Permutations are 0-based image tuples and compose left to right:
 (p * q)(x) = q(p(x)).  With that convention the right action on
@@ -393,10 +394,10 @@ class SemidirectGroup:
         return els
 
     def conjugacy_classes(self):
-        """Classes as tuples sorted by element code, listed by minimal
-        representative; the identity class comes first.  Each class is
-        found as the orbit of its minimal element under conjugation by the
-        generators, which costs one conjugation per element and generator."""
+        """Classes as sorted tuples, listed by minimal representative; the
+        identity class comes first.  Each class is found as the orbit of its
+        minimal element under conjugation by the generators, which costs one
+        conjugation per element and generator."""
         if self._classes is None:
             gens = [(self.inv(s), s) for s in self.generators()]
             assigned = {}
@@ -413,7 +414,7 @@ class SemidirectGroup:
                         if y not in cls:
                             cls.add(y)
                             frontier.append(y)
-                cls = tuple(sorted(cls, key=self.element_code))
+                cls = tuple(sorted(cls))
                 for x in cls:
                     assigned[x] = len(classes)
                 classes.append(cls)
@@ -774,6 +775,4 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
             for y in S:
                 if G.mul(x, y) not in S:
                     raise AssertionError("subgroup closure failed under products")
-    return tuple(
-        sorted(gens_of, key=lambda S: (len(S), sorted(map(G.element_code, S))))
-    )
+    return tuple(sorted(gens_of, key=lambda S: (len(S), sorted(S))))

@@ -177,6 +177,8 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
     that has it, and shared by the orbits with that profile; |G_alpha| is
     the sum of the counts, so this is exact.
     """
+    if rep.group is not G:
+        raise ValueError("representation does not belong to this group")
     parts = _orbit_partition(G, rep, m, n, index_budget)
     ids, profiles = _class_profiles(G, rep, m, n, parts)
     values = [None] * len(profiles)
@@ -242,21 +244,11 @@ def coset_sums(chi, G, stab) -> dict:
     return sums
 
 
-def inner_product(alpha, g, chi, G, rep, stab=None) -> CycloNum:
+def inner_product(alpha, g, chi, G, rep) -> CycloNum:
     """<e*_alpha, e*_{alpha.g}> = chi(e)/|G| times the sum of chi(g h) over
     the stabilizer of alpha."""
-    if stab is None:
-        stab = stabilizer(alpha, G, rep)
+    stab = stabilizer(alpha, G, rep)
     return coset_sums(chi, G, stab)[g] * Fraction(chi.degree, G.order)
-
-
-def inner_product_pair(alpha, beta, chi, G, rep) -> CycloNum:
-    """<e*_alpha, e*_beta>: zero when the indices sit in different orbits,
-    otherwise routed through inner_product."""
-    for g in G.elements():
-        if act(alpha, g, rep) == beta:
-            return inner_product(alpha, g, chi, G, rep)
-    return CycloNum.zero()
 
 
 def coset_transversal(alpha, G, rep):

@@ -13,7 +13,7 @@ from ostar.characters import character_table, zero_set
 from ostar.decide import (
     ADMITS,
     BRUTE_FORCE,
-    DEFAULT_VERTEX_BUDGET,
+    VERTEX_BUDGET,
     INCONCLUSIVE,
     LINEAR_CHARACTER,
     MAIN_THEOREM,
@@ -314,8 +314,9 @@ def test_brute_force_agrees_with_main_theorem_d6_n3():
     assert decide_main_theorem(D6, D6_REP, CHI2, 3).status == NOT_ADMITS
 
 
-def test_brute_force_vertex_budget():
-    v = brute_force_verify(D6, D6_REP, CHI2, 3, vertex_budget=2)
+def test_brute_force_vertex_budget(monkeypatch):
+    monkeypatch.setattr(decide, "VERTEX_BUDGET", 2)
+    v = brute_force_verify(D6, D6_REP, CHI2, 3)
     assert v.status == INCONCLUSIVE
     assert "budget_refused" in v.witness
 
@@ -356,11 +357,11 @@ def per_orbit_find_clique(adj, k):
 
 def per_orbit_brute_force_verify(G, rep, chi, n,
                                  index_budget=DEFAULT_INDEX_BUDGET,
-                                 vertex_budget=DEFAULT_VERTEX_BUDGET):
+                                 vertex_budget=VERTEX_BUDGET):
     """The former sequential brute_force_verify, kept as a reference: one
     coset transversal, coset-sum table and clique search per Delta-bar
     orbit."""
-    _require_validated(G, chi)
+    _require_validated(G, rep, chi)
     try:
         records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
     except BudgetError as exc:
@@ -435,20 +436,21 @@ def oracle_differential_cases():
             if n == 3 and name in ("D18", "F55"):
                 continue
             G = suite_group(name)
-            yield pytest.param(G, G.natural_rep, n, DEFAULT_VERTEX_BUDGET,
+            yield pytest.param(G, G.natural_rep, n, VERTEX_BUDGET,
                                id=f"{name}-n{n}")
     for seed in (1, 2):
         for i, G in enumerate(sample_groups(seed, count=4, max_order=12)):
-            yield pytest.param(G, regular_rep(G), 2, DEFAULT_VERTEX_BUDGET,
+            yield pytest.param(G, regular_rep(G), 2, VERTEX_BUDGET,
                                id=f"random{seed}.{i}-n2")
     G = suite_group("D8")
     yield pytest.param(G, G.natural_rep, 3, 2, id="D8-n3-vertex2")
 
 
 @pytest.mark.parametrize("G, rep, n, vertex_budget", oracle_differential_cases())
-def test_brute_force_matches_per_orbit_loop(G, rep, n, vertex_budget):
+def test_brute_force_matches_per_orbit_loop(G, rep, n, vertex_budget, monkeypatch):
+    monkeypatch.setattr(decide, "VERTEX_BUDGET", vertex_budget)
     for i, chi in enumerate(character_table(G).chars):
-        new = brute_force_verify(G, rep, chi, n, vertex_budget=vertex_budget)
+        new = brute_force_verify(G, rep, chi, n)
         old = per_orbit_brute_force_verify(G, rep, chi, n,
                                            vertex_budget=vertex_budget)
         assert new.to_json() == old.to_json(), i
@@ -558,9 +560,7 @@ def test_coset_disjointness_in_trivial_stabilizer_orbits():
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     g = G.mul(reps[j], G.inv(reps[i]))
-                    orthogonal = inner_product(
-                        r.rep, g, chi, G, rep, stab=r.stabilizer
-                    ).is_zero()
+                    orthogonal = inner_product(r.rep, g, chi, G, rep).is_zero()
                     # the H-part of reps[j] reps[i]^{-1} measures the coset
                     # of H_x the two vertices differ by
                     if g[1] in stab_hx:
@@ -571,6 +571,20 @@ def test_coset_disjointness_in_trivial_stabilizer_orbits():
             by_rep = {tuple(p["rep"]): p for p in brute.per_orbit}
             assert by_rep[tuple(r.rep)]["clique"] is None
         assert found > 0
+
+
+def test_deciders_refuse_a_representation_of_another_group():
+    # equal element tuples, different products: G2's natural rep is not a
+    # homomorphism of G1
+    G1, G2 = z_group(7, 3, 2), z_group(7, 3, 4)
+    assert G1.elements() == G2.elements()
+    chi = [c for c in character_table(G1).chars if c.degree == 3][0]
+    for fn in (decide_main_theorem, decide_subgroup_criterion, decide_pipeline,
+               brute_force_verify):
+        with pytest.raises(ValueError, match="representation does not belong"):
+            fn(G1, G2.natural_rep, chi, 2)
+    with pytest.raises(ValueError, match="representation does not belong"):
+        orbit_scan(G1, G2.natural_rep, chi, 7, 2)
 
 
 def test_pipeline_combines_diagnostics():

@@ -11,6 +11,8 @@ from itertools import combinations, product
 
 import pytest
 
+from ostar import decide
+from ostar.characters import character_table, dual_orbits, zero_set
 from ostar.errors import BudgetError
 from ostar.groups import (
     AbelianGroup,
@@ -21,6 +23,7 @@ from ostar.groups import (
     build_semidirect,
     build_wreath,
     dihedral,
+    element_json,
     enumerate_subgroups,
     group_pq,
     multiplicative_order,
@@ -585,6 +588,44 @@ def test_action_tables_match_generator_power_words(name):
         for h in G.H.elements():
             for a in G.A.elements():
                 assert G.phi.apply(h, a) == generator_power_action(G.phi, h, a)
+
+
+@pytest.mark.parametrize(
+    "name", [*TABLE_SUITE, *(f"wreath{i}" for i in range(len(TEST_WREATHS)))]
+)
+def test_tuple_order_reproduces_code_order(name, monkeypatch):
+    """Tuple order is element-code order: each sort that once keyed on
+    codes gives what the former code keys, kept here as the reference,
+    give."""
+    if name.startswith("wreath"):
+        G = build_wreath(TEST_WREATHS[int(name[len("wreath"):])])
+    else:
+        G = suite_group(name)
+    code = G.element_code
+    for cls in G.conjugacy_classes():
+        assert cls == tuple(sorted(cls, key=code))
+    subs = enumerate_subgroups(G)
+    assert subs == tuple(sorted(subs, key=lambda S: (len(S), sorted(map(code, S)))))
+    for orbit in dual_orbits(G.A, G.H, G.phi):
+        exps = [x.exponents for x in orbit.members]
+        assert exps == sorted(exps, key=G.A.code)
+
+    # the subgroup-criterion witness: the first subgroup, larger first and
+    # then by sorted codes, of index below chi(e)^2 that avoids the zero set
+    monkeypatch.setattr(decide, "enumerate_subgroups", lambda G, bound: subs)
+    rep = regular_rep(G)
+    by_codes = sorted(subs, key=lambda S: (-len(S), sorted(map(code, S))))
+    for chi in character_table(G).chars:
+        expected = None
+        if chi.degree > 1:
+            zeros = zero_set(chi)
+            for S in by_codes:
+                if G.order < len(S) * chi.degree**2 and not zeros & S:
+                    expected = sorted((element_json(g) for g in S),
+                                      key=lambda e: (e[0], e[1]))
+                    break
+        v = decide.decide_subgroup_criterion(G, rep, chi, 2)
+        assert v.witness.get("subgroup") == expected
 
 
 def all_automorphisms(A):

@@ -40,7 +40,6 @@ from ostar.symclass import (
     index_code,
     index_from_code,
     inner_product,
-    inner_product_pair,
     orbit_scan,
     stabilizer,
     tensor_inner,
@@ -330,13 +329,6 @@ def test_inner_product_examples():
     assert v == Fraction(-1, 3)
     # alpha with vanishing stabilizer sum: e*_alpha = 0
     assert inner_product((1, 1, 1), D6.identity, CHI2, D6, D6_REP).is_zero()
-
-
-def test_inner_product_pair_cross_orbit_zero():
-    v = inner_product_pair((1, 1, 2), (2, 2, 2), CHI2, D6, D6_REP)
-    assert v.is_zero()
-    w = inner_product_pair((1, 1, 2), (1, 2, 1), CHI2, D6, D6_REP)
-    assert not w.is_zero()
 
 
 def test_inner_product_invariance():
