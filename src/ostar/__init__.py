@@ -19,7 +19,6 @@ from .groups import (
     PermRep,
     SemidirectGroup,
     WreathSpec,
-    build_semidirect,
     build_wreath,
     dihedral,
     enumerate_subgroups,

@@ -31,8 +31,8 @@ from .groups import (
     FAMILIES,
     PermRep,
     SUBGROUP_CAP,
+    SemidirectGroup,
     WreathSpec,
-    build_semidirect,
     build_wreath,
     element_json,
     refuse_above_cap,
@@ -244,7 +244,7 @@ def build_job(cfg: JobConfig):
                 for row in cfg.group_payload["phi"]
             )
             phi = ActionHom(H, A, images)
-            G = build_semidirect(A, H, phi)
+            G = SemidirectGroup(A, H, phi)
         elif cfg.group_kind == "wreath":
             A = AbelianGroup(cfg.group_payload["A"])
             H = AbelianGroup(cfg.group_payload["H"])

@@ -37,6 +37,7 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    _require_same_group,
     coset_sums,
     coset_transversal,
     dim_symmetry_class,
@@ -135,6 +136,7 @@ def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     single distinguished letter at the identity's position) without
     scanning.  An unfaithful representation has none: its kernel lies in
     every stabilizer."""
+    _require_same_group(G, rep)
     if not rep.is_faithful():
         return TrivialStabilizerSearch(None, True, False)
     m = rep.degree
@@ -163,10 +165,7 @@ def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
 
 def _require_validated(G, rep, chi):
     validated_table(G)
-    if chi.G is not G:
-        raise ValueError("character does not belong to this group")
-    if rep.group is not G:
-        raise ValueError("representation does not belong to this group")
+    _require_same_group(G, rep, chi)
 
 
 def _semigroup_facts(G):

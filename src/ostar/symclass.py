@@ -59,6 +59,15 @@ def index_from_code(code: int, m: int, n: int):
     return tuple(reversed(out))
 
 
+def _require_same_group(G, rep=None, chi=None):
+    """Refuse a representation or a character of another group.  Equal
+    element tuples do not make groups equal: the products may differ."""
+    if chi is not None and chi.G is not G:
+        raise ValueError("character does not belong to this group")
+    if rep is not None and rep.group is not G:
+        raise ValueError("representation does not belong to this group")
+
+
 def act(alpha, g, rep: PermRep):
     """Right action: entry i of the result is alpha at sigma^{-1}(i)."""
     if len(alpha) != rep.degree:
@@ -70,6 +79,7 @@ def act(alpha, g, rep: PermRep):
 
 def stabilizer(alpha, G: SemidirectGroup, rep: PermRep):
     """G_alpha as a tuple in element-code order."""
+    _require_same_group(G, rep)
     return tuple(g for g in G.elements() if act(alpha, g, rep) == alpha)
 
 
@@ -177,8 +187,7 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
     that has it, and shared by the orbits with that profile; |G_alpha| is
     the sum of the counts, so this is exact.
     """
-    if rep.group is not G:
-        raise ValueError("representation does not belong to this group")
+    _require_same_group(G, rep, chi)
     parts = _orbit_partition(G, rep, m, n, index_budget)
     ids, profiles = _class_profiles(G, rep, m, n, parts)
     values = [None] * len(profiles)
@@ -216,6 +225,7 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     must come out an exact nonnegative integer.  Both factors are class
     functions (conjugate permutations share a cycle type), so the sum runs
     over conjugacy classes weighted by class size."""
+    _require_same_group(G, rep, chi)
     total = CycloNum.zero()
     for cls in G.conjugacy_classes():
         v = chi.value(cls[0])
@@ -235,6 +245,7 @@ def coset_sums(chi, G, stab) -> dict:
     """The map g -> sum of chi(g h) over h in the subgroup stab, for every
     g in G.  The sum depends only on the left coset g stab, so each coset
     is summed once: |G| character values in all."""
+    _require_same_group(G, chi=chi)
     sums = {}
     for g in G.elements():
         if g not in sums:
@@ -247,6 +258,7 @@ def coset_sums(chi, G, stab) -> dict:
 def inner_product(alpha, g, chi, G, rep) -> CycloNum:
     """<e*_alpha, e*_{alpha.g}> = chi(e)/|G| times the sum of chi(g h) over
     the stabilizer of alpha."""
+    _require_same_group(G, rep, chi)
     stab = stabilizer(alpha, G, rep)
     return coset_sums(chi, G, stab)[g] * Fraction(chi.degree, G.order)
 
@@ -254,6 +266,7 @@ def inner_product(alpha, g, chi, G, rep) -> CycloNum:
 def coset_transversal(alpha, G, rep):
     """Lex-min representative of each right coset of G_alpha, in ascending
     element-code order (one coset per orbit index)."""
+    _require_same_group(G, rep)
     seen = set()
     reps = []
     for g in G.elements():
@@ -296,6 +309,7 @@ class GramMatrix:
 def gram(alpha, chi, G, rep) -> GramMatrix:
     """Gram matrix of {e*_{alpha.sigma}} over coset representatives; alpha
     must lie in Delta-bar."""
+    _require_same_group(G, rep, chi)
     sums = coset_sums(chi, G, stabilizer(alpha, G, rep))
     if sums[G.identity].is_zero():
         raise ValueError(
@@ -352,6 +366,7 @@ def explicit_symmetrized_tensor(alpha, chi, G, rep):
     {sigma : alpha.sigma^{-1} = beta}; the support stays inside the orbit of
     alpha, and the map is empty exactly when alpha falls outside Delta-bar.
     """
+    _require_same_group(G, rep, chi)
     acc = {}
     for g in G.elements():
         v = chi.value(g)
@@ -378,6 +393,7 @@ def tensor_inner(u, v) -> CycloNum:
 
 def generalized_matrix_function(M, chi, G, rep) -> CycloNum:
     """Sum over the group of chi(g) times the product of M[i][sigma(i)]."""
+    _require_same_group(G, rep, chi)
     m = rep.degree
     if len(M) != m or any(len(row) != m for row in M):
         raise ValueError(f"expected an {m} x {m} matrix")

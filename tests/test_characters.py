@@ -32,7 +32,7 @@ from ostar.groups import (
     AbelianGroup,
     ActionHom,
     WreathSpec,
-    build_semidirect,
+    SemidirectGroup,
     build_wreath,
     dihedral,
     group_pq,
@@ -44,7 +44,7 @@ from test_random_products import sample_groups
 
 def direct_product(a_factors, h_factors):
     A, H = AbelianGroup(a_factors), AbelianGroup(h_factors)
-    return build_semidirect(A, H, ActionHom.trivial(H, A))
+    return SemidirectGroup(A, H, ActionHom.trivial(H, A))
 
 
 SMALL_GROUPS = [

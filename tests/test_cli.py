@@ -332,6 +332,31 @@ def test_main_validate_rejects_non_commuting_action(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+ILL_DEFINED_ACTIONS = {
+    "automorphism": ({"A": [2, 4], "H": [2], "phi": [[[0, 1], [1, 0]]]},
+                     "generator images do not extend to a homomorphism of "
+                     "AbelianGroup([2, 4])"),
+    "wreath-order": ({"wreath": {"A": [2], "H": [2], "omega": 3,
+                                 "action": [[2, 3, 1]]}},
+                     "h_action does not define an action of H on Omega"),
+    "wreath-commute": ({"wreath": {"A": [2], "H": [2, 2], "omega": 3,
+                                   "action": [[2, 1, 3], [1, 3, 2]]}},
+                       "h_action does not define an action of H on Omega"),
+    "wreath-order-trivial-base": ({"wreath": {"A": [1], "H": [2], "omega": 3,
+                                              "action": [[2, 3, 1]]}},
+                                  "h_action does not define an action of H "
+                                  "on Omega"),
+}
+
+
+@pytest.mark.parametrize("name", ILL_DEFINED_ACTIONS)
+def test_main_validate_names_an_ill_defined_action(tmp_path, capsys, name):
+    doc, text = ILL_DEFINED_ACTIONS[name]
+    p = write_cfg(tmp_path, doc)
+    assert main(["validate", str(p)]) == EXIT_CONFIG
+    assert f"config error: {text}\n" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_cli(tmp_path):
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}})
     env = dict(os.environ)

@@ -36,7 +36,7 @@ from ostar.groups import (
     ActionHom,
     PermRep,
     WreathSpec,
-    build_semidirect,
+    SemidirectGroup,
     build_wreath,
     dihedral,
     element_json,
@@ -58,7 +58,7 @@ from test_random_products import sample_groups
 
 def trivial_group():
     T = AbelianGroup([1])
-    return build_semidirect(T, T, ActionHom.trivial(T, T))
+    return SemidirectGroup(T, T, ActionHom.trivial(T, T))
 
 
 D6 = dihedral(3)
@@ -480,8 +480,8 @@ AGREEMENT_SUITE = [
     (z_group(5, 4, 2), "natural"),
     (build_wreath(WreathSpec.regular(AbelianGroup([2]), AbelianGroup([2]))), "natural"),
     (build_wreath(WreathSpec.regular(AbelianGroup([3]), AbelianGroup([2]))), "natural"),
-    (build_semidirect(AbelianGroup([3]), AbelianGroup([2]),
-                      ActionHom.trivial(AbelianGroup([2]), AbelianGroup([3]))),
+    (SemidirectGroup(AbelianGroup([3]), AbelianGroup([2]),
+                     ActionHom.trivial(AbelianGroup([2]), AbelianGroup([3]))),
      "regular"),
 ]
 
@@ -585,6 +585,13 @@ def test_deciders_refuse_a_representation_of_another_group():
             fn(G1, G2.natural_rep, chi, 2)
     with pytest.raises(ValueError, match="representation does not belong"):
         orbit_scan(G1, G2.natural_rep, chi, 7, 2)
+
+
+def test_trivial_stabilizer_search_refuses_a_representation_of_another_group():
+    G1, G2 = z_group(7, 3, 2), z_group(7, 3, 4)
+    assert find_trivial_stabilizer_alpha(G1, G1.natural_rep, 2).alpha is not None
+    with pytest.raises(ValueError, match="representation does not belong"):
+        find_trivial_stabilizer_alpha(G1, G2.natural_rep, 2)
 
 
 def test_pipeline_combines_diagnostics():

@@ -5,9 +5,10 @@ identification, a brute subset-closure subgroup count, and an independent
 Cayley-table construction of the regular representation.
 """
 
+import math
 import time
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,7 +21,7 @@ from ostar.groups import (
     Automorphism,
     PermRep,
     WreathSpec,
-    build_semidirect,
+    SemidirectGroup,
     build_wreath,
     dihedral,
     element_json,
@@ -39,7 +40,7 @@ from test_random_products import sample_groups
 
 def direct_product(a_factors, h_factors):
     A, H = AbelianGroup(a_factors), AbelianGroup(h_factors)
-    return build_semidirect(A, H, ActionHom.trivial(H, A))
+    return SemidirectGroup(A, H, ActionHom.trivial(H, A))
 
 
 # -- abelian groups ------------------------------------------------------------
@@ -346,7 +347,7 @@ def test_perm_rep_rejects_image_for_trivial_factor_generator():
     # the standard generator of a C_1 factor is the identity element, so
     # its image must be the identity permutation too
     A, H = AbelianGroup([1]), AbelianGroup([2])
-    G = build_semidirect(A, H, ActionHom.trivial(H, A))
+    G = SemidirectGroup(A, H, ActionHom.trivial(H, A))
     with pytest.raises(ValueError, match="homomorphism"):
         PermRep(G, ((1, 0),), ((1, 0),))
     rep = PermRep(G, ((0, 1),), ((1, 0),))
@@ -354,7 +355,7 @@ def test_perm_rep_rejects_image_for_trivial_factor_generator():
 
 
 def test_regular_rep_trivial_group():
-    T = build_semidirect(
+    T = SemidirectGroup(
         AbelianGroup([1]), AbelianGroup([1]),
         ActionHom.trivial(AbelianGroup([1]), AbelianGroup([1])),
     )
@@ -380,7 +381,7 @@ def brute_subgroups(G):
 
 
 def test_enumerate_subgroups_trivial():
-    T = build_semidirect(
+    T = SemidirectGroup(
         AbelianGroup([1]), AbelianGroup([1]),
         ActionHom.trivial(AbelianGroup([1]), AbelianGroup([1])),
     )
@@ -683,3 +684,159 @@ def test_action_walk_accepts_exactly_the_former_checks(a_factors, h_factors):
             assert former_action_checks(H, images), images
             accepted += 1
     assert 0 < accepted < len(pairs)
+
+
+# 1,085 generator-image tuples in all
+AUTOMORPHISM_GROUPS = [[2], [4], [6], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4],
+                       [2, 2, 2]]
+
+
+def former_order_loop(A, images):
+    """The former Automorphism well-definedness check, kept as a reference:
+    every image lies in A and has order dividing its generator's factor."""
+    return all(
+        A.contains(img) and A.mul_scalar(n, img) == A.identity
+        for img, n in zip(images, A.factors)
+    )
+
+
+@pytest.mark.parametrize("factors", AUTOMORPHISM_GROUPS, ids=str)
+def test_automorphism_walk_refuses_exactly_the_former_order_loop(factors):
+    A = AbelianGroup(factors)
+    for images in product(A.elements(), repeat=len(factors)):
+        try:
+            Automorphism(A, images)
+        except ValueError as exc:
+            if "do not extend to a homomorphism" in str(exc):
+                assert str(exc) == (
+                    f"generator images do not extend to a homomorphism of {A!r}")
+                assert not former_order_loop(A, images), images
+                continue
+            assert str(exc) == "generator images do not define a bijection"
+        assert former_order_loop(A, images), images
+
+
+def former_wreath_checks(spec):
+    """The former build_wreath action checks, kept as a reference: every
+    Omega-permutation has order dividing its H-factor and any two commute."""
+    ident = tuple(range(spec.omega_size))
+    return all(
+        _ppow(sig, n) == ident for sig, n in zip(spec.h_action, spec.H.factors)
+    ) and all(pmul(a, b) == pmul(b, a) for a, b in combinations(spec.h_action, 2))
+
+
+class _BuiltOnceAutomorphism(Automorphism):
+    """An Automorphism is a pure function of its group and images, so the
+    differential test below builds each block automorphism once."""
+
+    built = {}
+
+    def __init__(self, group, gen_images):
+        key = (group, tuple(map(tuple, gen_images)))
+        state = self.built.get(key)
+        if state is None:
+            super().__init__(group, gen_images)
+            self.built[key] = self.__dict__
+        else:
+            self.__dict__.update(state)
+
+
+@pytest.mark.parametrize("a_factors", [[1], [2], [3], [2, 2]], ids=str)
+def test_wreath_walks_refuse_exactly_the_former_action_checks(a_factors,
+                                                              monkeypatch):
+    # every action tuple for H in six groups and |Omega| = 2..4: 1,360 per A.
+    # regular_rep cannot refuse (it is built from G's own product); stubbing
+    # it and building each block automorphism once keeps this to seconds
+    from ostar import groups
+
+    monkeypatch.setattr(groups, "Automorphism", _BuiltOnceAutomorphism)
+    monkeypatch.setattr(groups, "regular_rep", lambda G: None)
+    A = AbelianGroup(a_factors)
+    cases = accepted = 0
+    for h_factors in ([2], [3], [4], [2, 2], [2, 1], [6]):
+        H = AbelianGroup(h_factors)
+        for om in (2, 3, 4):
+            perms = list(permutations(range(om)))
+            for action in product(perms, repeat=len(h_factors)):
+                spec = WreathSpec(A, H, om, action)
+                cases += 1
+                try:
+                    build_wreath(spec)
+                except ValueError as exc:
+                    assert str(exc) == (
+                        "h_action does not define an action of H on Omega")
+                    assert not former_wreath_checks(spec), spec
+                else:
+                    assert former_wreath_checks(spec), spec
+                    accepted += 1
+    assert cases == 1360
+    assert 0 < accepted < cases
+
+
+def former_dihedral(s):
+    """The former dihedral body, kept as a reference."""
+    A, H = AbelianGroup((s,)), AbelianGroup((2,))
+    phi = ActionHom(H, A, (Automorphism(A, (((-1) % s,),)),))
+    G = SemidirectGroup(A, H, phi, origin="dihedral")
+    rot = tuple((i + 1) % s for i in range(s))
+    ref = tuple((-i) % s for i in range(s))
+    G.natural_rep = PermRep(G, (rot,), (ref,), kind="natural")
+    return G
+
+
+def former_group_pq(p, q, r):
+    """The former group_pq body after its parameter checks, kept as a
+    reference."""
+    A, H = AbelianGroup((q,)), AbelianGroup((p,))
+    phi = ActionHom(H, A, (Automorphism(A, ((r % q,),)),))
+    G = SemidirectGroup(A, H, phi, origin="pq")
+    trans = tuple((x + 1) % q for x in range(q))
+    rinv = pow(r, -1, q)
+    scale = tuple(rinv * x % q for x in range(q))
+    G.natural_rep = PermRep(G, (trans,), (scale,), kind="natural")
+    return G
+
+
+def former_z_group(s, t, r):
+    """The former z_group body after its parameter checks, kept as a
+    reference."""
+    A, H = AbelianGroup((s,)), AbelianGroup((t,))
+    phi = ActionHom(H, A, (Automorphism(A, ((r % s,),)),))
+    G = SemidirectGroup(A, H, phi, origin="z_group")
+    if s > 1 and multiplicative_order(r, s) == t:
+        trans = tuple((x + 1) % s for x in range(s))
+        rinv = pow(r, -1, s)
+        scale = tuple(rinv * x % s for x in range(s))
+        G.natural_rep = PermRep(G, (trans,), (scale,), kind="natural")
+    else:
+        G.natural_rep = regular_rep(G)
+    return G
+
+
+def metacyclic_cases(family):
+    if family == "dihedral":
+        return [(former_dihedral, dihedral, (s,)) for s in range(3, 60)]
+    if family == "pq":
+        pairs = [(2, 3), (2, 5), (3, 7), (2, 11), (5, 11), (3, 13), (2, 17),
+                 (3, 19), (7, 29)]
+        return [(former_group_pq, group_pq, (p, q, r)) for p, q in pairs
+                for r in range(q) if multiplicative_order(r, q) == p]
+    return [(former_z_group, z_group, (s, t, r))
+            for s in range(1, 30) for t in range(1, 12) if math.gcd(s, t) == 1
+            for r in range(s) if pow(r, t, s) == 1 % s]
+
+
+@pytest.mark.parametrize("family", ["dihedral", "pq", "z_group"])
+def test_metacyclic_builds_match_the_former_bodies(family):
+    # equal factors and action tables give equal products, since
+    # (a1, h1)(a2, h2) = (a1 + phi_h1(a2), h1 + h2)
+    for former, build, params in metacyclic_cases(family):
+        old, new = former(*params), build(*params)
+        assert new.origin == old.origin, params
+        assert (new.A, new.H) == (old.A, old.H), params
+        assert new.elements() == old.elements(), params
+        assert all(new.phi.apply(h, a) == old.phi.apply(h, a)
+                   for h in new.H.elements() for a in new.A.elements()), params
+        nat, ref = new.natural_rep, old.natural_rep
+        assert (nat.kind, nat.degree, nat.a_images, nat.h_images) == (
+            ref.kind, ref.degree, ref.a_images, ref.h_images), params

@@ -6,6 +6,12 @@ valid actions (inversion, the pq actions and the Z-group actions all arise
 this way).  Each sampled group goes through the whole pipeline: exact table
 validation, dimension vs orbital-sum consistency, and decider/oracle
 agreement under the regular representation.
+
+Regular-action wreath products and seeded named-family members of order at
+most 64 are swept too, under their natural representation and under it
+padded by one fixed point, wherever n^m stays small.  In every case the
+main theorem, the subgroup criterion and the brute-force oracle must agree
+whenever both sides of a comparison are conclusive.
 """
 
 import math
@@ -21,10 +27,13 @@ from ostar.decide import (
     decide_subgroup_criterion,
 )
 from ostar.groups import (
+    FAMILIES,
     AbelianGroup,
     ActionHom,
     Automorphism,
-    build_semidirect,
+    SemidirectGroup,
+    WreathSpec,
+    build_wreath,
     regular_rep,
 )
 from ostar.symclass import dim_symmetry_class, orbit_scan
@@ -57,8 +66,46 @@ def sample_groups(seed, count, max_order):
         H = AbelianGroup(rng.choice(H_CHOICES))
         if A.order * H.order > max_order:
             continue
-        out.append(build_semidirect(A, H, power_action(A, H, rng)))
+        out.append(SemidirectGroup(A, H, power_action(A, H, rng)))
     return out
+
+
+def sample_family_members(seed, count, max_order):
+    """Distinct named-family members of order <= max_order: a family is
+    drawn, then parameters from 1..14 until the family accepts them."""
+    rng = random.Random(seed)
+    names = sorted(FAMILIES)
+    out = {}
+    while len(out) < count:
+        ctor, keys = FAMILIES[rng.choice(names)]
+        G = None
+        while G is None:
+            params = tuple(rng.randint(1, 14) for _ in keys)
+            try:
+                G = ctor(*params)
+            except ValueError:
+                pass
+        if G.order <= max_order:
+            out[G.origin, params] = G
+    return list(out.values())
+
+
+def assert_pipeline_agrees(G, rep, n):
+    """Dimensions equal orbital sums, and the two theorem deciders agree
+    with the brute-force oracle wherever both are conclusive."""
+    m = rep.degree
+    for chi in character_table(G).chars:
+        records = orbit_scan(G, rep, chi, m, n)
+        total = sum(r.s_alpha for r in records if r.in_delta_bar)
+        assert dim_symmetry_class(G, rep, chi, n) == total
+        brute = brute_force_verify(G, rep, chi, n)
+        for theorem_verdict in (
+            decide_main_theorem(G, rep, chi, n),
+            decide_subgroup_criterion(G, rep, chi, n),
+        ):
+            if INCONCLUSIVE in (theorem_verdict.status, brute.status):
+                continue
+            assert theorem_verdict.status == brute.status, (G, rep.degree, n, chi)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -67,20 +114,35 @@ def test_random_products_full_pipeline(seed):
         table = character_table(G)
         assert table.report.ok, (G, table.report.failures)
         assert sum(c.degree**2 for c in table.chars) == G.order
-        rep = regular_rep(G)
-        m = rep.degree
-        for chi in table.chars:
-            records = orbit_scan(G, rep, chi, m, 2)
-            total = sum(r.s_alpha for r in records if r.in_delta_bar)
-            assert dim_symmetry_class(G, rep, chi, 2) == total
-            brute = brute_force_verify(G, rep, chi, 2)
-            for theorem_verdict in (
-                decide_main_theorem(G, rep, chi, 2),
-                decide_subgroup_criterion(G, rep, chi, 2),
-            ):
-                if INCONCLUSIVE in (theorem_verdict.status, brute.status):
-                    continue
-                assert theorem_verdict.status == brute.status, (G, chi)
+        assert_pipeline_agrees(G, regular_rep(G), 2)
+
+
+WREATH_FACTORS = [([2], [2]), ([3], [2]), ([2], [3]), ([2], [4])]
+INDEX_BOUND = 20_000
+
+
+def natural_and_padded_cases(G):
+    reps = [G.natural_rep, G.natural_rep.extended(G.natural_rep.degree + 1)]
+    return [(rep, n) for rep in reps for n in (2, 3) if n**rep.degree <= INDEX_BOUND]
+
+
+@pytest.mark.parametrize("factors", WREATH_FACTORS, ids=str)
+def test_regular_wreaths_natural_and_padded(factors):
+    G = build_wreath(WreathSpec.regular(*map(AbelianGroup, factors)))
+    cases = natural_and_padded_cases(G)
+    assert cases
+    for rep, n in cases:
+        assert_pipeline_agrees(G, rep, n)
+
+
+@pytest.mark.parametrize("seed", [4, 8])
+def test_family_members_natural_and_padded(seed):
+    swept = 0
+    for G in sample_family_members(seed, count=4, max_order=64):
+        for rep, n in natural_and_padded_cases(G):
+            assert_pipeline_agrees(G, rep, n)
+            swept += 1
+    assert swept > 0
 
 
 def test_power_actions_cover_nonabelian_cases():

@@ -18,10 +18,11 @@ from ostar.errors import BudgetError, ConsistencyError
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
-    build_semidirect,
+    SemidirectGroup,
     dihedral,
     group_pq,
     regular_rep,
+    z_group,
 )
 from ostar.characters import character_table
 from ostar.symclass import (
@@ -50,7 +51,7 @@ from test_random_products import sample_groups
 
 def trivial_group():
     T = AbelianGroup([1])
-    return build_semidirect(T, T, ActionHom.trivial(T, T))
+    return SemidirectGroup(T, T, ActionHom.trivial(T, T))
 
 
 def element_by_perm(G, rep, perm):
@@ -196,6 +197,7 @@ def test_linear_character_orbital_dimensions_in_01():
 
 def test_dim_rejects_broken_character():
     class Corrupted:
+        G = D6
         degree = CHI2.degree
 
         def value(self, g):
@@ -354,7 +356,7 @@ def test_inner_product_invariance():
 def test_symmetrizer_on_two_letters():
     # S_2 on two positions, trivial character: the plain symmetrizer
     A, H = AbelianGroup([2]), AbelianGroup([1])
-    G = build_semidirect(A, H, ActionHom.trivial(H, A))
+    G = SemidirectGroup(A, H, ActionHom.trivial(H, A))
     rep = regular_rep(G)
     chi0 = [c for c in character_table(G).chars
             if c.value(((1,), (0,))) == 1][0]
@@ -635,3 +637,58 @@ def test_orbit_scan_corruption_errors_match_per_orbit_checks():
                 assert str(exc.value) == want, (name, offsets)
                 cases += f"at {(1,) * rep.degree} " not in want
     assert cases > 0
+
+
+# equal element tuples, different products: G2's natural rep is not a
+# homomorphism of G1, and its characters are not class functions of G1
+FOREIGN_G1, FOREIGN_G2 = z_group(7, 3, 2), z_group(7, 3, 4)
+FOREIGN_ALPHA = (1, 1, 1, 1, 1, 2, 2)
+
+
+def _degree3(G):
+    return [c for c in character_table(G).chars if c.degree == 3][0]
+
+
+def _all_ones(m):
+    return [[1] * m for _ in range(m)]
+
+
+# (function, which argument is foreign): each call ran without error before
+# the refusal, with G2's object taken as G1's
+FOREIGN_CALLS = {
+    "stabilizer-rep": lambda G, rep, chi: stabilizer(FOREIGN_ALPHA, G, rep),
+    "coset_transversal-rep":
+        lambda G, rep, chi: coset_transversal(FOREIGN_ALPHA, G, rep),
+    "coset_sums-chi": lambda G, rep, chi: coset_sums(chi, G, (G.identity,)),
+    "inner_product-rep": lambda G, rep, chi: inner_product(
+        FOREIGN_ALPHA, G.identity, chi, G, rep),
+    "inner_product-chi": lambda G, rep, chi: inner_product(
+        FOREIGN_ALPHA, G.identity, chi, G, rep),
+    "gram-rep": lambda G, rep, chi: gram(FOREIGN_ALPHA, chi, G, rep),
+    "gram-chi": lambda G, rep, chi: gram(FOREIGN_ALPHA, chi, G, rep),
+    "dim_symmetry_class-rep": lambda G, rep, chi: dim_symmetry_class(G, rep, chi, 2),
+    "dim_symmetry_class-chi": lambda G, rep, chi: dim_symmetry_class(G, rep, chi, 2),
+    "explicit_symmetrized_tensor-rep":
+        lambda G, rep, chi: explicit_symmetrized_tensor(FOREIGN_ALPHA, chi, G, rep),
+    "explicit_symmetrized_tensor-chi":
+        lambda G, rep, chi: explicit_symmetrized_tensor(FOREIGN_ALPHA, chi, G, rep),
+    "generalized_matrix_function-rep":
+        lambda G, rep, chi: generalized_matrix_function(_all_ones(7), chi, G, rep),
+    "generalized_matrix_function-chi":
+        lambda G, rep, chi: generalized_matrix_function(_all_ones(7), chi, G, rep),
+    "orbit_scan-chi": lambda G, rep, chi: orbit_scan(G, rep, chi, 7, 2),
+}
+
+
+@pytest.mark.parametrize("name", FOREIGN_CALLS)
+def test_symclass_refuses_a_representation_or_character_of_another_group(name):
+    G1, G2 = FOREIGN_G1, FOREIGN_G2
+    assert G1.elements() == G2.elements()
+    rep, chi = G1.natural_rep, _degree3(G1)
+    FOREIGN_CALLS[name](G1, rep, chi)  # the group's own objects are accepted
+    if name.endswith("-rep"):
+        rep, text = G2.natural_rep, "representation does not belong to this group"
+    else:
+        chi, text = _degree3(G2), "character does not belong to this group"
+    with pytest.raises(ValueError, match=text):
+        FOREIGN_CALLS[name](G1, rep, chi)
