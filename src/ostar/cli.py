@@ -391,21 +391,11 @@ def _run_tasks(cfg, G, rep):
                 ],
             }
         elif task == "orbits":
-            per_char = []
-            for i, records in enumerate(scans):
-                per_char.append({
-                    "char_index": i,
-                    "records": [
-                        {
-                            "rep": list(r.rep),
-                            "orbit_size": r.orbit_size,
-                            "stabilizer_order": len(r.stabilizer),
-                            "s_alpha": r.s_alpha,
-                            "in_delta_bar": r.in_delta_bar,
-                        }
-                        for r in records
-                    ],
-                })
+            texts = {}
+            per_char = [
+                {"char_index": i, "records": _OrbitRows(records, texts)}
+                for i, records in enumerate(scans)
+            ]
             report["tasks"]["orbits"] = {"per_character": per_char}
         elif task == "dims":
             per_char = []
@@ -449,11 +439,37 @@ def _run_tasks(cfg, G, rep):
     return report, scans
 
 
+class _OrbitRows(list):
+    """One character's orbit rows.  It is a plain list of dicts, which is
+    what json.dumps and the callers of run_job read.  It also carries the
+    OrbitRecords the rows were built from, and texts: the row text that no
+    character enters, cached per indent and shared by all characters of
+    one scan."""
+
+    __slots__ = ("records", "texts")
+
+    def __init__(self, records, texts):
+        super().__init__(
+            {
+                "rep": list(r.rep),
+                "orbit_size": r.orbit_size,
+                "stabilizer_order": len(r.stabilizer),
+                "s_alpha": r.s_alpha,
+                "in_delta_bar": r.in_delta_bar,
+            }
+            for r in records
+        )
+        self.records, self.texts = records, texts
+
+
 def report_bytes(report: dict) -> bytes:
     """The report as json.dumps(report, sort_keys=True, indent=2) plus a
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
-    writing the same text directly."""
+    writing the same text directly.  Orbit rows are spliced from text
+    rendered once per orbit (see _orbit_rows_text) and written from the
+    OrbitRecords they were built from, so an edit to those rows does not
+    reach the bytes."""
     return (_json_text(report, "\n") + "\n").encode()
 
 
@@ -464,7 +480,8 @@ _int_text = int.__repr__
 def _json_text(o, ind):
     """o as json.dumps(o, sort_keys=True, indent=2) writes it when its line
     starts with ind, a newline plus the current indentation.  Every
-    container is built with one "".join over its pieces.  Reports hold only
+    container is built with one "".join over its pieces, and the orbit rows
+    of run_job (an _OrbitRows) by _orbit_rows_text.  Reports hold only
     strings, integers, booleans, None, lists, tuples and dicts with string
     keys; anything else raises TypeError naming its type."""
     if isinstance(o, str):
@@ -482,6 +499,8 @@ def _json_text(o, ind):
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
+        if type(o) is _OrbitRows:
+            return _orbit_rows_text(o, ind)
         if all(type(v) is int for v in o):
             return "".join(("[", inner, sep.join(map(_int_text, o)), ind, "]"))
         parts = [sep] * (2 * len(o) + 1)
@@ -501,6 +520,31 @@ def _json_text(o, ind):
         parts.append(ind + "}")
         return "".join(parts)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _orbit_rows_text(rows, ind):
+    """_json_text of a nonempty _OrbitRows.  A row's keys sort as
+    in_delta_bar, orbit_size, rep, s_alpha, stabilizer_order, and only the
+    first and the fourth depend on the character, so the text between them
+    and the text after the fourth are rendered once per orbit and indent,
+    and each character's row splices its boolean and integer in between."""
+    inner = ind + "  "
+    row_inner = inner + "  "
+    sep = "," + row_inner
+    pieces = rows.texts.get(ind)
+    if pieces is None:
+        pieces = rows.texts[ind] = [
+            (f'{sep}"orbit_size": {_int_text(r.orbit_size)}'
+             f'{sep}"rep": {_json_text(r.rep, row_inner)}{sep}"s_alpha": ',
+             f'{sep}"stabilizer_order": {_int_text(len(r.stabilizer))}{inner}}}')
+            for r in rows.records
+        ]
+    head = "{" + row_inner + '"in_delta_bar": '
+    text = ("," + inner).join([
+        f'{head}{"true" if r.in_delta_bar else "false"}{mid}{_int_text(r.s_alpha)}{tail}'
+        for r, (mid, tail) in zip(rows.records, pieces)
+    ])
+    return f"[{inner}{text}{ind}]"
 
 
 def _write_csv_outputs(cfg, G, scans, out_path: Path) -> list:

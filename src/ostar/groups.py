@@ -310,6 +310,7 @@ class SemidirectGroup:
         self._classes = None
         self._class_index = None
         self._char_table = None
+        self._subgroups = None
 
     def __repr__(self):
         return (
@@ -704,12 +705,22 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
     element of T outside S gives T again, and whether g qualifies depends
     only on the coset S g, so both are skipped once seen.
 
-    Refuses loudly (never answers partially) when |G| exceeds the bound.
+    Refuses loudly (never answers partially) when |G| exceeds the bound,
+    on every call; below it the lattice is computed once per group and
+    cached on G.
     """
     if G.order > bound:
         raise BudgetError(
             f"subgroup enumeration refused: |G| = {G.order} exceeds bound {bound}"
         )
+    if G._subgroups is None:
+        G._subgroups = _subgroup_lattice(G)
+    return G._subgroups
+
+
+def _subgroup_lattice(G: SemidirectGroup):
+    """enumerate_subgroups without the bound and the cache; every subgroup
+    found is re-checked for closure under products and inverses."""
     gens_of = {frozenset((G.identity,)): ()}
     queue = list(gens_of)
     for S in queue:  # grows while it is walked

@@ -12,8 +12,12 @@ and every report reproducible.
 
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import getitem
 
 from .cyclotomic import CycloNum, cyclo_json
 from .errors import BudgetError, ConsistencyError
@@ -103,6 +107,19 @@ class OrbitRecord:
 
 
 def _orbit_partition(G, rep, m, n, index_budget):
+    """(lex-min alpha, orbit size, stabilizer) for every orbit of
+    Gamma_{m,n} in ascending code order, cached on rep per (m, n).
+
+    Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
+    rep.perm(g), so the code of alpha.g is the sum over j of
+    (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
+    term for the letter a over every g, packed in element order as
+    fixed-width fields of one int, so the image codes of alpha under all of
+    G are one sum of m ints.  No field carries into the next, since each
+    sums to an image code below n^m.  An orbit is read off that sum: its
+    distinct codes, and its stabilizer as the elements whose image code is
+    alpha's own.  The next representative is the next unvisited code.
+    """
     if m != rep.degree:
         raise ValueError(
             f"m = {m} does not match the representation degree {rep.degree}; "
@@ -123,26 +140,39 @@ def _orbit_partition(G, rep, m, n, index_budget):
     if parts is not None:
         return parts
     elems = G.elements()
-    invs = [rep.inv_perm(g) for g in elems]
+    perms = [rep.perm(g) for g in elems]
+    fmt = "I" if total <= 1 << 32 else "Q"
+    width = struct.calcsize(fmt)
+
+    def packed(weights):
+        return int.from_bytes(
+            b"".join(w.to_bytes(width, sys.byteorder) for w in weights),
+            sys.byteorder,
+        )
+
+    col = [
+        (None,) + tuple(
+            packed([(a - 1) * n ** (m - 1 - p[j]) for p in perms])
+            for a in range(1, n + 1)
+        )
+        for j in range(m)
+    ]
+    nbytes = width * G.order
     visited = bytearray(total)
     parts = []
-    for code in range(total):
-        if visited[code]:
-            continue
+    code = 0
+    while code >= 0:
         alpha = index_from_code(code, m, n)
-        codes = set()
-        stab = []
-        for g, iv in zip(elems, invs):
-            beta = tuple(alpha[j] for j in iv)
-            bc = index_code(beta, n)
-            codes.add(bc)
-            if bc == code:
-                stab.append(g)
-        for bc in codes:
-            visited[bc] = 1
-        if len(codes) * len(stab) != G.order:
+        images = sum(map(getitem, col, alpha))
+        codes = memoryview(images.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
+        orbit = set(codes)
+        stab = tuple(compress(elems, map(code.__eq__, codes)))
+        for c in orbit:
+            visited[c] = 1
+        if len(orbit) * len(stab) != G.order:
             raise ConsistencyError("orbit-stabilizer count failed on Gamma_{m,n}")
-        parts.append((alpha, len(codes), tuple(stab)))
+        parts.append((alpha, len(orbit), stab))
+        code = visited.find(0, code + 1)
     cache[key] = parts
     return parts
 

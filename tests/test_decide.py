@@ -598,3 +598,37 @@ def test_pipeline_combines_diagnostics():
     v = decide_pipeline(D6, D6_REP, CHI2, 2)
     assert v.status == INCONCLUSIVE
     assert "main_theorem" in v.witness and "subgroup_criterion" in v.witness
+
+
+def test_pipeline_enumerates_the_subgroup_lattice_once(monkeypatch):
+    # the lattice depends only on the group: cached on G, it is enumerated
+    # once for all characters, with the same verdicts as a fresh lattice
+    # per character, and the bound still refuses on every call
+    from ostar import groups
+
+    G = build_wreath(WreathSpec.regular(AbelianGroup([2]), AbelianGroup([4])))
+    rep = G.natural_rep
+    chars = character_table(G).chars
+    assert len(chars) == 13
+    lattice = groups._subgroup_lattice
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return lattice(H)
+
+    monkeypatch.setattr(groups, "_subgroup_lattice", counting)
+    fresh = []
+    for chi in chars:
+        G._subgroups = None
+        fresh.append(decide_pipeline(G, rep, chi, 3).to_json())
+    assert len(calls) == 5  # one per character that reaches the criterion
+    calls.clear()
+    G._subgroups = None
+    assert [decide_pipeline(G, rep, chi, 3).to_json() for chi in chars] == fresh
+    assert calls == [G]
+    with pytest.raises(BudgetError):
+        groups.enumerate_subgroups(G, bound=G.order - 1)
+    chi = next(chi for chi in chars if chi.degree > 1)
+    v = decide_subgroup_criterion(G, rep, chi, 3, subgroup_bound=G.order - 1)
+    assert v.status == INCONCLUSIVE and "budget_refused" in v.witness

@@ -4,6 +4,9 @@ exactly json.dumps(report, sort_keys=True, indent=2) plus a newline,
 ASCII-encoded.  Reports hold nothing else; floats and non-string keys raise
 TypeError naming their type, and other types raise json.dumps' TypeError."""
 
+import csv
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -11,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostar.cli import TASKS, parse_config, report_bytes, run_job
+from ostar.cli import TASKS, build_job, main, parse_config, report_bytes, run_job
+from ostar.characters import character_table
 from ostar.errors import BudgetError
+from ostar.symclass import orbit_scan
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -106,3 +111,94 @@ def test_report_bytes_rejects_non_json_types(value):
 def test_report_bytes_rejects_floats_and_non_string_keys(value, type_name):
     with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
         report_bytes(value)
+
+
+# -- orbit rows spliced from text rendered once per orbit -------------------
+
+# orbits,dims jobs with several characters: the bench's three orbit inputs
+ORBIT_JOBS = {
+    "d14-n4": {"family": {"dihedral": {"s": 7}}, "rep": "natural", "n": 4},
+    "f21-m9-n3": {"family": {"pq": {"p": 3, "q": 7, "r": 2}}, "rep": "natural",
+                  "n": 3, "m": 9},
+    "d12on3-m6-n4": {"A": [6], "H": [2], "phi": [[[5]]],
+                     "rep": {"explicit": {"degree": 3, "A": [[2, 3, 1]],
+                                          "H": [[1, 3, 2]]}},
+                     "n": 4, "m": 6},
+}
+
+# sha256 over each job's --format csv orbit files in character order, as
+# the writer before the spliced rows produced them
+ORBIT_CSV_SHA256 = {
+    "d14-n4": "db4deaf3bb19f670407e248f02cc591f36a8b9312a86fdbd4124fe505f172cdc",
+    "f21-m9-n3": "7ab5f25fbfdacd62ce54c3484955dbb2dd86d57baead3644b1107e0fd0417436",
+    "d12on3-m6-n4": "addc43711469f52d7d5e5ba09aab435a02acc16bc73baecf778d6b313be15ebe",
+}
+
+
+def orbit_job(name, **extra):
+    return parse_config(json.dumps(dict(ORBIT_JOBS[name], tasks=["orbits", "dims"],
+                                        **extra)))
+
+
+def orbit_report(name):
+    report = run_job(orbit_job(name))
+    per_char = report["tasks"]["orbits"]["per_character"]
+    assert len(per_char) > 1
+    return report, per_char
+
+
+@pytest.mark.parametrize("name", ORBIT_JOBS)
+def test_orbit_reports_match_json_dumps(name):
+    report, _ = orbit_report(name)
+    assert report_bytes(report) == reference(report)
+
+
+@pytest.mark.parametrize("name", ORBIT_JOBS)
+def test_orbit_rows_match_json_dumps_at_any_depth(name):
+    _, per_char = orbit_report(name)
+    rows = [entry["records"] for entry in per_char]
+    for value in (rows[0], rows[-1], rows, {"a": rows[1]},
+                  {"b": [{"c": rows[0]}, rows[1]], "a": [[rows[-1]]]}):
+        assert report_bytes(value) == reference(value)
+
+
+@pytest.mark.parametrize("name", ORBIT_JOBS)
+def test_orbit_rows_read_as_plain_dicts(name):
+    report, per_char = orbit_report(name)
+    G, rep = build_job(orbit_job(name))
+    cfg = ORBIT_JOBS[name]
+    m = cfg.get("m", rep.degree)
+    for i, chi in enumerate(character_table(G).chars):
+        records = per_char[i]["records"]
+        assert isinstance(records, list)
+        want = [
+            {"rep": list(r.rep), "orbit_size": r.orbit_size,
+             "stabilizer_order": len(r.stabilizer), "s_alpha": r.s_alpha,
+             "in_delta_bar": r.in_delta_bar}
+            for r in orbit_scan(G, rep.extended(m), chi, m, cfg["n"])
+        ]
+        assert list(records) == want
+        assert all(type(row) is dict and type(row["rep"]) is list for row in records)
+    assert json.loads(json.dumps(report)) == report
+
+
+@pytest.mark.parametrize("name", ORBIT_JOBS)
+def test_orbit_csv_files_unchanged(name, tmp_path):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(dict(ORBIT_JOBS[name], tasks=["orbits", "dims"])))
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg_path), "--out", str(out), "--format", "csv"]) == 0
+    per_char = json.loads(out.read_text())["tasks"]["orbits"]["per_character"]
+    digest = hashlib.sha256()
+    for entry in per_char:
+        data = (tmp_path / f"report.orbits.chi{entry['char_index']}.csv").read_bytes()
+        digest.update(data)
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+        assert rows[0] == ["rep", "orbit_size", "stabilizer_order", "s_alpha",
+                           "in_delta_bar"]
+        assert rows[1:] == [
+            [",".join(map(str, r["rep"])), str(r["orbit_size"]),
+             str(r["stabilizer_order"]), str(r["s_alpha"]), str(int(r["in_delta_bar"]))]
+            for r in entry["records"]
+        ]
+    assert digest.hexdigest() == ORBIT_CSV_SHA256[name]

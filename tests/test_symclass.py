@@ -18,6 +18,7 @@ from ostar.errors import BudgetError, ConsistencyError
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
+    PermRep,
     SemidirectGroup,
     dihedral,
     group_pq,
@@ -692,3 +693,95 @@ def test_symclass_refuses_a_representation_or_character_of_another_group(name):
         chi, text = _degree3(G2), "character does not belong to this group"
     with pytest.raises(ValueError, match=text):
         FOREIGN_CALLS[name](G1, rep, chi)
+
+
+# -- the orbit partition on image codes ----------------------------------------
+
+
+def tuple_orbit_partition(G, rep, m, n):
+    """The former _orbit_partition loop, kept as the reference: every image
+    tuple of every representative is built and then encoded."""
+    total = n**m
+    elems = G.elements()
+    invs = [rep.inv_perm(g) for g in elems]
+    visited = bytearray(total)
+    parts = []
+    for code in range(total):
+        if visited[code]:
+            continue
+        alpha = index_from_code(code, m, n)
+        codes = set()
+        stab = []
+        for g, iv in zip(elems, invs):
+            beta = tuple(alpha[j] for j in iv)
+            bc = index_code(beta, n)
+            codes.add(bc)
+            if bc == code:
+                stab.append(g)
+        for bc in codes:
+            visited[bc] = 1
+        if len(codes) * len(stab) != G.order:
+            raise ConsistencyError("orbit-stabilizer count failed on Gamma_{m,n}")
+        parts.append((alpha, len(codes), tuple(stab)))
+    return parts
+
+
+def partition_cases():
+    d12 = dihedral(6)
+    bases = [(name, suite_group(name)) for name in TABLE_SUITE]
+    bases = [(name, G, G.natural_rep) for name, G in bases]
+    bases += [
+        (f"random{seed}.{i}", G, regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    # unfaithful: D12 acts on 3 points through S_3
+    bases.append(("D12on3", d12, PermRep(d12, ((1, 2, 0),), ((0, 2, 1),))))
+    return [
+        (f"{label}+{pad}", G, rep.extended(rep.degree + pad))
+        for label, G, rep in bases
+        for pad in (0, 1, 2)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_partition_matches_tuple_reference(n):
+    checked = 0
+    for label, G, rep in partition_cases():
+        m = rep.degree
+        if n**m > 20000:
+            continue
+        got = _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET)
+        assert got == tuple_orbit_partition(G, rep, m, n), (label, n)
+        checked += 1
+    assert checked >= 40
+
+
+class StandInRep:
+    """A representation's permutations with the one of g replaced."""
+
+    def __init__(self, rep, g, perm):
+        self.degree = rep.degree
+        self._perms = {h: rep.perm(h) for h in rep.group.elements()}
+        self._perms[g] = perm
+
+    def perm(self, g):
+        return self._perms[g]
+
+    def inv_perm(self, g):
+        p = self._perms[g]
+        inv = [0] * len(p)
+        for i, j in enumerate(p):
+            inv[j] = i
+        return tuple(inv)
+
+
+def test_orbit_partition_corrupted_permutation_fails_orbit_stabilizer():
+    # a reflection sent to the identity joins every stabilizer, so the
+    # orbit of (1, 1, 2) (size 3) gets a stabilizer of order 3 in D6
+    g = element_by_perm(D6, D6_REP, (0, 2, 1))
+    bad = StandInRep(D6_REP, g, (0, 1, 2))
+    with pytest.raises(ConsistencyError, match="orbit-stabilizer"):
+        tuple_orbit_partition(D6, bad, 3, 2)
+    with pytest.raises(ConsistencyError, match="orbit-stabilizer"):
+        _orbit_partition(D6, bad, 3, 2, DEFAULT_INDEX_BUDGET)
