@@ -37,12 +37,14 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    _orbits,
+    _require_positive_n,
     _require_same_group,
     coset_sums,
     coset_transversal,
     dim_symmetry_class,
-    index_from_code,
     orbit_scan,
+    stabilizer,
 )
 
 __all__ = [
@@ -104,7 +106,7 @@ class Verdict:
 class TrivialStabilizerSearch:
     """Outcome of the hunt for alpha with trivial stabilizer.  alpha=None
     with proven_none=True means exhaustively ruled out; alpha=None with
-    proven_none=False means the scan was out of budget with no fast path."""
+    proven_none=False means n^m was out of budget with no fast path."""
 
     alpha: tuple | None
     proven_none: bool
@@ -130,37 +132,34 @@ class TrivialStabilizerSearch:
 
 
 def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
-    """Lex-min multi-index of length rep.degree with trivial stabilizer,
-    found by an ascending scan when n^degree fits the budget; beyond the
-    budget the regular representation still yields a verified witness (a
-    single distinguished letter at the identity's position) without
-    scanning.  An unfaithful representation has none: its kernel lies in
-    every stabilizer."""
+    """Lex-min multi-index of length rep.degree with trivial stabilizer.
+    When n^degree fits the budget it is the representative of the first
+    orbit with trivial stabilizer, where the orbit walk stops: orbits come
+    in ascending order of their lex-min members, and members of one orbit
+    have conjugate stabilizers.  Beyond the budget the regular
+    representation still yields a verified witness (a single distinguished
+    letter at the identity's position) without walking.  An unfaithful
+    representation has none: its kernel lies in every stabilizer."""
     _require_same_group(G, rep)
+    _require_positive_n(n)
     if not rep.is_faithful():
         return TrivialStabilizerSearch(None, True, False)
     m = rep.degree
-    total = n**m
-    nonid = [g for g in G.elements() if g != G.identity]
-    if total <= index_budget:
-        invs = [rep.inv_perm(g) for g in nonid]
-        for code in range(total):
-            alpha = index_from_code(code, m, n)
-            for iv in invs:
-                if tuple(alpha[j] for j in iv) == alpha:
-                    break
-            else:
-                return TrivialStabilizerSearch(alpha, False, False)
-        return TrivialStabilizerSearch(None, True, False)
-    if rep.kind == "regular" and n >= 2:
-        alpha = tuple(2 if i == 0 else 1 for i in range(m))
-        for g in nonid:
-            if tuple(alpha[j] for j in rep.inv_perm(g)) == alpha:
+    try:
+        orbits = _orbits(G, rep, m, n, index_budget)
+    except BudgetError:
+        if rep.kind == "regular" and n >= 2:
+            alpha = tuple(2 if i == 0 else 1 for i in range(m))
+            if len(stabilizer(alpha, G, rep)) != 1:
                 raise ConsistencyError(
                     "regular-representation fast path produced a stabilized index"
                 )
-        return TrivialStabilizerSearch(alpha, False, True)
-    return TrivialStabilizerSearch(None, False, False)
+            return TrivialStabilizerSearch(alpha, False, True)
+        return TrivialStabilizerSearch(None, False, False)
+    for alpha, _, stab in orbits:
+        if len(stab) == 1:
+            return TrivialStabilizerSearch(alpha, False, False)
+    return TrivialStabilizerSearch(None, True, False)
 
 
 def _require_validated(G, rep, chi):
@@ -222,13 +221,21 @@ def decide_named_family(family, params, chi_index, n,
     re-verification."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    ctor, keys = FAMILIES["dihedral" if family == "dihedral_odd_s" else family]
+    if set(params) != set(keys):
+        raise ValueError(
+            f"family {family} takes the params {list(keys)}, got {list(params)}"
+        )
     if family == "dihedral_odd_s" and params["s"] % 2 == 0:
         raise ValueError(f"family dihedral_odd_s requires odd s, got {params['s']}")
-    ctor, keys = FAMILIES["dihedral" if family == "dihedral_odd_s" else family]
     G = ctor(*(params[k] for k in keys))
     rep = G.natural_rep
-    table = character_table(G)
-    chi = table.chars[chi_index]
+    chars = character_table(G).chars
+    if not 0 <= chi_index < len(chars):
+        raise ValueError(
+            f"chi_index {chi_index} is outside 0..{len(chars) - 1} for this table"
+        )
+    chi = chars[chi_index]
     verdict = decide_main_theorem(G, rep, chi, n, index_budget=index_budget)
     if verdict.status == ADMITS:
         return verdict  # LinearCharacter stands on its own

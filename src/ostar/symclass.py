@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_INDEX_BUDGET",
     "OrbitRecord",
     "GramMatrix",
-    "index_code",
     "index_from_code",
     "act",
     "stabilizer",
@@ -46,13 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_INDEX_BUDGET = 10**7
-
-
-def index_code(alpha, n: int) -> int:
-    c = 0
-    for x in alpha:
-        c = c * n + (x - 1)
-    return c
 
 
 def index_from_code(code: int, m: int, n: int):
@@ -106,20 +98,19 @@ class OrbitRecord:
     s_alpha: int
 
 
-def _orbit_partition(G, rep, m, n, index_budget):
-    """(lex-min alpha, orbit size, stabilizer) for every orbit of
-    Gamma_{m,n} in ascending code order, cached on rep per (m, n).
+def _require_positive_n(n):
+    """Refuse an alphabet size n that is not a positive int."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n = {n!r} is not a positive integer")
 
-    Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
-    rep.perm(g), so the code of alpha.g is the sum over j of
-    (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
-    term for the letter a over every g, packed in element order as
-    fixed-width fields of one int, so the image codes of alpha under all of
-    G are one sum of m ints.  No field carries into the next, since each
-    sums to an image code below n^m.  An orbit is read off that sum: its
-    distinct codes, and its stabilizer as the elements whose image code is
-    alpha's own.  The next representative is the next unvisited code.
-    """
+
+def _orbits(G, rep, m, n, index_budget):
+    """(lex-min alpha, orbit size, stabilizer) for every orbit of
+    Gamma_{m,n} in ascending code order: the list cached on rep per (m, n)
+    by a finished walk, else a fresh _walk_orbits.  Refuses an n that is
+    not a positive int, an m other than rep.degree and an n^m above the
+    index budget before walking."""
+    _require_positive_n(n)
     if m != rep.degree:
         raise ValueError(
             f"m = {m} does not match the representation degree {rep.degree}; "
@@ -131,14 +122,26 @@ def _orbit_partition(G, rep, m, n, index_budget):
             f"orbit scan refused: n^m = {total} exceeds the index budget "
             f"{index_budget}"
         )
-    cache = getattr(rep, "_orbit_cache", None)
-    if cache is None:
-        cache = {}
-        rep._orbit_cache = cache
-    key = (m, n)
-    parts = cache.get(key)
-    if parts is not None:
-        return parts
+    cache = vars(rep).setdefault("_orbit_cache", {})
+    parts = cache.get((m, n))
+    return _walk_orbits(G, rep, m, n, cache) if parts is None else parts
+
+
+def _walk_orbits(G, rep, m, n, cache):
+    """Yield the orbits as _orbits lists them; the list goes into
+    cache[(m, n)] only when the walk ends, so a caller may stop early.
+
+    Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
+    rep.perm(g), so the code of alpha.g is the sum over j of
+    (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
+    term for the letter a over every g, packed in element order as
+    fixed-width fields of one int, so the image codes of alpha under all of
+    G are one sum of m ints.  No field carries into the next, since each
+    sums to an image code below n^m.  An orbit is read off that sum: its
+    distinct codes, and its stabilizer as the elements whose image code is
+    alpha's own.  The next representative is the next unvisited code.
+    """
+    total = n**m
     elems = G.elements()
     perms = [rep.perm(g) for g in elems]
     fmt = "I" if total <= 1 << 32 else "Q"
@@ -172,9 +175,17 @@ def _orbit_partition(G, rep, m, n, index_budget):
         if len(orbit) * len(stab) != G.order:
             raise ConsistencyError("orbit-stabilizer count failed on Gamma_{m,n}")
         parts.append((alpha, len(orbit), stab))
+        yield parts[-1]
         code = visited.find(0, code + 1)
-    cache[key] = parts
-    return parts
+    cache[(m, n)] = parts
+
+
+def _orbit_partition(G, rep, m, n, index_budget):
+    """Every orbit of Gamma_{m,n} as _orbits lists it, walked to the end:
+    the list cached on rep itself, not a copy."""
+    for _ in _orbits(G, rep, m, n, index_budget):
+        pass
+    return rep._orbit_cache[(m, n)]
 
 
 def _class_profiles(G, rep, m, n, parts):
@@ -256,6 +267,7 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     functions (conjugate permutations share a cycle type), so the sum runs
     over conjugacy classes weighted by class size."""
     _require_same_group(G, rep, chi)
+    _require_positive_n(n)
     total = CycloNum.zero()
     for cls in G.conjugacy_classes():
         v = chi.value(cls[0])

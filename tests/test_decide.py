@@ -4,6 +4,7 @@ The agreement suite runs every decider against the oracle over small groups
 with their natural representations and insists definite statuses coincide.
 """
 
+import re
 import time
 
 import pytest
@@ -27,10 +28,11 @@ from ostar.decide import (
     decide_pipeline,
     decide_subgroup_criterion,
     find_trivial_stabilizer_alpha,
+    TrivialStabilizerSearch,
     Verdict,
     _require_validated,
 )
-from ostar.errors import BudgetError
+from ostar.errors import BudgetError, ConsistencyError
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
@@ -44,10 +46,14 @@ from ostar.groups import (
     regular_rep,
     z_group,
 )
+from ostar import symclass
 from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
+    _orbit_partition,
+    _require_same_group,
     coset_sums,
     coset_transversal,
+    index_from_code,
     inner_product,
     orbit_scan,
     stabilizer,
@@ -114,6 +120,134 @@ def test_find_alpha_unfaithful_rep_proven_none_beyond_budget():
     s = find_trivial_stabilizer_alpha(G, rep.extended(6), 4, index_budget=100)
     assert s.alpha is None and s.proven_none and not s.fast_path
     assert s.to_json()["status"] == "proven_none"
+
+
+def scan_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
+    """The former find_trivial_stabilizer_alpha, kept as the reference: an
+    ascending scan of Gamma_{m,n} that builds every image tuple."""
+    _require_same_group(G, rep)
+    if not rep.is_faithful():
+        return TrivialStabilizerSearch(None, True, False)
+    m = rep.degree
+    total = n**m
+    nonid = [g for g in G.elements() if g != G.identity]
+    if total <= index_budget:
+        invs = [rep.inv_perm(g) for g in nonid]
+        for code in range(total):
+            alpha = index_from_code(code, m, n)
+            for iv in invs:
+                if tuple(alpha[j] for j in iv) == alpha:
+                    break
+            else:
+                return TrivialStabilizerSearch(alpha, False, False)
+        return TrivialStabilizerSearch(None, True, False)
+    if rep.kind == "regular" and n >= 2:
+        alpha = tuple(2 if i == 0 else 1 for i in range(m))
+        for g in nonid:
+            if tuple(alpha[j] for j in rep.inv_perm(g)) == alpha:
+                raise ConsistencyError(
+                    "regular-representation fast path produced a stabilized index"
+                )
+        return TrivialStabilizerSearch(alpha, False, True)
+    return TrivialStabilizerSearch(None, False, False)
+
+
+def padded_copy(rep, pad):
+    """A new representation object, so with no partition cached on it,
+    padded with pad fixed points."""
+    fixed = tuple(range(rep.degree, rep.degree + pad))
+    return PermRep(rep.group, tuple(p + fixed for p in rep.a_images),
+                   tuple(p + fixed for p in rep.h_images),
+                   kind=rep.kind, degree=rep.degree + pad)
+
+
+def trivial_stabilizer_cases():
+    bases = []
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        bases += [(name, G.natural_rep), (f"{name}-regular", regular_rep(G))]
+    bases += [
+        (f"random{seed}.{i}", regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    # unfaithful: D12 acts on 3 points through S_3
+    d12 = dihedral(6)
+    bases.append(("D12on3", PermRep(d12, ((1, 2, 0),), ((0, 2, 1),))))
+    return [(f"{label}+{pad}", rep, pad) for label, rep in bases for pad in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trivial_stabilizer_walk_matches_scan_reference(n):
+    checked = 0
+    for label, base, pad in trivial_stabilizer_cases():
+        G, m = base.group, base.degree + pad
+        total = n**m
+        if total > 20000:
+            continue
+        for budget in (total, total - 1, DEFAULT_INDEX_BUDGET):
+            rep = padded_copy(base, pad)
+            want = scan_trivial_stabilizer_alpha(G, rep, n, index_budget=budget)
+            got = find_trivial_stabilizer_alpha(G, rep, n, index_budget=budget)
+            assert got.to_json() == want.to_json(), (label, n, budget)
+        # with the partition cached, the search reads the cached list
+        _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET)
+        got = find_trivial_stabilizer_alpha(G, rep, n)
+        assert got.to_json() == want.to_json(), (label, n, "cached")
+        checked += 1
+    assert checked >= {1: 99, 2: 79, 3: 53, 4: 34}[n]
+
+
+def test_early_witness_leaves_no_partition_cached():
+    G = dihedral(7)
+    rep = padded_copy(G.natural_rep, 0)
+    s = find_trivial_stabilizer_alpha(G, rep, 7)
+    assert s.alpha == (1, 1, 1, 1, 1, 2, 3) and not s.proven_none
+    assert (7, 7) not in getattr(rep, "_orbit_cache", {})
+    s = find_trivial_stabilizer_alpha(G, rep, 3)
+    assert s.alpha is not None and (7, 3) not in rep._orbit_cache
+    # a full walk after an abandoned one caches, and returns, its own list
+    parts = _orbit_partition(G, rep, 7, 3, DEFAULT_INDEX_BUDGET)
+    assert parts is rep._orbit_cache[(7, 3)]
+    assert parts == _orbit_partition(
+        G, padded_copy(G.natural_rep, 0), 7, 3, DEFAULT_INDEX_BUDGET)
+
+
+def test_proven_none_search_caches_the_partition_for_orbit_scan(monkeypatch):
+    rep = padded_copy(D6_REP, 2)
+    s = find_trivial_stabilizer_alpha(D6, rep, 2)
+    assert s.alpha is None and s.proven_none
+    cached = rep._orbit_cache[(5, 2)]
+    assert _orbit_partition(D6, rep, 5, 2, DEFAULT_INDEX_BUDGET) is cached
+    want = {chi: orbit_scan(D6, padded_copy(D6_REP, 2), chi, 5, 2)
+            for chi in D6_CHARS}
+
+    def no_walk(*args):
+        raise AssertionError("the cached partition was walked again")
+
+    monkeypatch.setattr(symclass, "_walk_orbits", no_walk)
+    for chi in D6_CHARS:
+        assert orbit_scan(D6, rep, chi, 5, 2) == want[chi]
+    assert rep._orbit_cache[(5, 2)] is cached
+    assert find_trivial_stabilizer_alpha(D6, rep, 2) == s
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_deciders_refuse_n_below_one(n):
+    # n = 0 and n = -1 answered proven_none, and the oracle raised
+    # ZeroDivisionError or a bare ValueError("negative count")
+    d12 = dihedral(6)
+    unfaithful = PermRep(d12, ((1, 2, 0),), ((0, 2, 1),))
+    for call in (
+        lambda: find_trivial_stabilizer_alpha(D6, D6_REP, n),
+        # refused before the faithfulness shortcut
+        lambda: find_trivial_stabilizer_alpha(d12, unfaithful, n),
+        lambda: decide_main_theorem(D6, D6_REP, CHI2, n),
+        lambda: decide_subgroup_criterion(D6, D6_REP, CHI2, n),
+        lambda: brute_force_verify(D6, D6_REP, CHI2, n),
+    ):
+        with pytest.raises(ValueError, match=rf"n = {n} is not a positive integer"):
+            call()
 
 
 # -- main criterion -----------------------------------------------------------------
@@ -218,6 +352,24 @@ def test_named_family_z_group():
             assert v.status == ADMITS
         else:
             assert v.status == NOT_ADMITS and v.justification == NAMED_FAMILY
+
+
+def test_named_family_refuses_chi_index_outside_the_table():
+    # -1 decided the last character without saying so; 3 raised IndexError
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=rf"chi_index {i} is outside 0\.\.2"):
+            decide_named_family("dihedral_odd_s", {"s": 3}, i, 3)
+
+
+@pytest.mark.parametrize("family,params,keys", [
+    ("pq", {"p": 3, "r": 2}, "['p', 'q', 'r']"),
+    ("dihedral_odd_s", {"s": 3, "t": 2}, "['s']"),
+    ("z_group", {}, "['s', 't', 'r']"),
+])
+def test_named_family_refuses_params_with_other_keys(family, params, keys):
+    # a missing key raised KeyError, an extra one was ignored
+    with pytest.raises(ValueError, match=re.escape(f"{family} takes the params {keys}")):
+        decide_named_family(family, params, 0, 3)
 
 
 # -- subgroup criterion ----------------------------------------------------------------

@@ -39,7 +39,6 @@ from ostar.symclass import (
     explicit_symmetrized_tensor,
     generalized_matrix_function,
     gram,
-    index_code,
     index_from_code,
     inner_product,
     orbit_scan,
@@ -69,6 +68,13 @@ CHI2 = D6_CHARS[2]
 
 
 # -- the action ---------------------------------------------------------------
+
+
+def index_code(alpha, n: int) -> int:
+    c = 0
+    for x in alpha:
+        c = c * n + (x - 1)
+    return c
 
 
 def test_index_codes_roundtrip():
@@ -460,6 +466,17 @@ def test_orbit_scan_rejects_m_other_than_degree(m):
                  lambda: _orbit_partition(D6, D6_REP, m, 2, 10**7)):
         with pytest.raises(ValueError, match=rf"m = {m} .* degree 3"):
             scan()
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0])
+def test_orbit_scan_and_dimension_refuse_n_other_than_a_positive_int(n):
+    # n = 0 raised ZeroDivisionError in the scan and gave dimension 0, and
+    # n = -1 raised a bare ValueError("negative count")
+    for call in (lambda: orbit_scan(D6, D6_REP, CHI2, 3, n),
+                 lambda: _orbit_partition(D6, D6_REP, 3, n, 10**7),
+                 lambda: dim_symmetry_class(D6, D6_REP, CHI2, n)):
+        with pytest.raises(ValueError, match=rf"n = {n!r} is not a positive integer"):
+            call()
 
 
 def test_exact_rank_against_numeric_svd():
