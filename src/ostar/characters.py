@@ -2,11 +2,15 @@
 
 The dual group of A is acted on by H through phi; every irreducible
 character of the product is indexed by a dual orbit [x] together with a
-linear character U of the stabilizer H_x, has degree [H : H_x], and
+linear character U of the stabilizer H_x, has degree |[x]| = [H : H_x], and
 evaluates at (a, h) to
 
-    U(h) / |H_x| * sum over h' in H of x(phi_{h'}(a))   if h lies in H_x,
-    0                                                   otherwise.
+    U(h) * sum over y in [x] of y(a)   if h lies in H_x,
+    0                                  otherwise
+
+(Serre, Linear Representations of Finite Groups, 8.2): summing x o phi_{h'}
+over all h' in H would count each orbit member |H_x| times.  Each value is
+one sum of roots of unity at the conductor lcm(exp A, conductor of U).
 
 All values are exact CycloNums, and an IrredChar stores them once per
 conjugacy class (`values`, in `G.conjugacy_classes()` order) when it is
@@ -98,27 +102,16 @@ class DualOrbit:
     """One H-orbit on the dual of A: lex-min representative, all members,
     and the stabilizer H_x = {h : x o phi_h = x}."""
 
-    def __init__(self, rep, members, stabilizer, phi, H):
+    def __init__(self, rep, members, stabilizer):
         self.rep = rep
         self.members = members
         self.stabilizer = stabilizer
-        self.phi = phi
-        self.H = H
 
     def __repr__(self):
         return (
             f"DualOrbit(rep={self.rep.exponents}, size={len(self.members)}, "
             f"stabilizer_order={len(self.stabilizer)})"
         )
-
-    def sum_over_H(self, a) -> CycloNum:
-        """Sum of x(phi_h(a)) over every h in H; independent of the choice
-        of orbit member, so computed against the representative."""
-        E = self.rep.group.exponent
-        counts = [0] * E
-        for h in self.H.elements():
-            counts[self.rep.value_exponent(self.phi.apply(h, a))] += 1
-        return CycloNum.from_coeffs(E, counts)
 
 
 def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualOrbit, ...]:
@@ -141,7 +134,7 @@ def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualO
         if len(members) * len(stab) != H.order:
             raise ConsistencyError("orbit-stabilizer count failed on the dual group")
         ordered = tuple(members[e] for e in sorted(members))
-        orbits.append(DualOrbit(x, ordered, tuple(stab), phi, H))
+        orbits.append(DualOrbit(x, ordered, tuple(stab)))
     return tuple(orbits)
 
 
@@ -237,15 +230,16 @@ def dual_of_subgroup(sub, H: AbelianGroup) -> tuple[LinearChar, ...]:
 
 class IrredChar:
     """Irreducible character of G = A x| H attached to a dual orbit [x] and
-    a linear character U of the stabilizer H_x; degree [H : H_x].  `values`
-    holds its exact value at each class of `G.conjugacy_classes()`, evaluated
-    once at the class's first element."""
+    a linear character U of the stabilizer H_x; degree |[x]| = [H : H_x].
+    Its value at (a, h) is U(h) * sum over y in [x] of y(a) for h in H_x,
+    and 0 otherwise.  `values` holds its exact value at each class of
+    `G.conjugacy_classes()`, evaluated once at the class's first element."""
 
     def __init__(self, G: SemidirectGroup, orbit: DualOrbit, u: LinearChar):
         self.G = G
         self.orbit = orbit
         self.u = u
-        self.degree = G.H.order // len(orbit.stabilizer)
+        self.degree = len(orbit.members)
         self._stab_set = frozenset(orbit.stabilizer)
         self.values = tuple(
             self.value_uncached(cls[0]) for cls in G.conjugacy_classes()
@@ -265,13 +259,21 @@ class IrredChar:
         return self.values[self.G.class_index(g)]
 
     def value_uncached(self, g) -> CycloNum:
-        """Direct evaluation at g from the induced-character formula, not
-        read from the stored class values."""
+        """Direct evaluation at g as one orbit sum of roots of unity, not
+        read from the stored class values.  The members of [x] take values
+        in the E-th roots of unity and U in the L-th, so the sum lies at
+        the conductor N = lcm(E, L) that reports print."""
         a, h = g
         if h not in self._stab_set:
             return CycloNum.zero()
-        s = self.orbit.sum_over_H(a)
-        return self.u.value(h) * s * Fraction(1, len(self.orbit.stabilizer))
+        E, L = self.orbit.rep.group.exponent, self.u.conductor
+        N = math.lcm(E, L)
+        t = N // L * self.u.value_exponent(h)
+        return sum(
+            (root_of_unity(N, N // E * y.value_exponent(a) + t)
+             for y in self.orbit.members),
+            CycloNum.zero(N),
+        )
 
 
 def char_value_general(chi: IrredChar, g) -> CycloNum:

@@ -102,7 +102,7 @@ class Verdict:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrivialStabilizerSearch:
     """Outcome of the hunt for alpha with trivial stabilizer.  alpha=None
     with proven_none=True means exhaustively ruled out; alpha=None with
@@ -139,7 +139,9 @@ def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     have conjugate stabilizers.  Beyond the budget the regular
     representation still yields a verified witness (a single distinguished
     letter at the identity's position) without walking.  An unfaithful
-    representation has none: its kernel lies in every stabilizer."""
+    representation has none: its kernel lies in every stabilizer.  The
+    outcome of a walk is kept in rep._orbit_cache under ("alpha", n), read
+    only after _orbits has made its refusals."""
     _require_same_group(G, rep)
     _require_positive_n(n)
     if not rep.is_faithful():
@@ -156,10 +158,13 @@ def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
                 )
             return TrivialStabilizerSearch(alpha, False, True)
         return TrivialStabilizerSearch(None, False, False)
-    for alpha, _, stab in orbits:
-        if len(stab) == 1:
-            return TrivialStabilizerSearch(alpha, False, False)
-    return TrivialStabilizerSearch(None, True, False)
+    key = ("alpha", n)
+    search = rep._orbit_cache.get(key)
+    if search is None:
+        first = next((alpha for alpha, _, stab in orbits if len(stab) == 1), None)
+        search = rep._orbit_cache[key] = TrivialStabilizerSearch(
+            first, first is None, False)
+    return search
 
 
 def _require_validated(G, rep, chi):

@@ -343,13 +343,6 @@ class SemidirectGroup:
         hi = self.H.neg(h)
         return (self.phi.apply(hi, self.A.neg(a)), hi)
 
-    def order_of(self, g) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        return k
-
     def generators(self):
         e_a, e_h = self.A.identity, self.H.identity
         return tuple((ga, e_h) for ga in self.A.generators()) + tuple(
@@ -361,29 +354,6 @@ class SemidirectGroup:
         return all(
             self.mul(x, y) == self.mul(y, x) for x in gens for y in gens
         )
-
-    def cyclic(self, g):
-        out = [self.identity]
-        x = g
-        while x != self.identity:
-            out.append(x)
-            x = self.mul(x, g)
-        return out
-
-    def closure(self, gens):
-        gens = list(gens)
-        els = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in els:
-                        els.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return els
 
     def conjugacy_classes(self):
         """Classes as sorted tuples, listed by minimal representative; the

@@ -330,17 +330,6 @@ class GramMatrix:
     def rank(self) -> int:
         return cyclo_rank(self.entries)
 
-    def is_hermitian(self) -> bool:
-        n = len(self.entries)
-        return all(
-            self.entries[i][j] == self.entries[j][i].conj()
-            for i in range(n)
-            for j in range(n)
-        )
-
-    def diagonal(self):
-        return [self.entries[i][i] for i in range(len(self.entries))]
-
     def to_json(self):
         return {
             "coset_reps": [element_json(g) for g in self.coset_reps],

@@ -345,6 +345,44 @@ def test_value_independent_of_orbit_representative():
                 assert alt == chi.value_uncached(g)
 
 
+def sum_over_H_value(chi, g):
+    """The former IrredChar.value_uncached, kept as the reference:
+    U(h) / |H_x| times the sum of x(phi_{h'}(a)) over every h' in H."""
+    G = chi.G
+    a, h = g
+    stab = chi.orbit.stabilizer
+    if h not in stab:
+        return CycloNum.zero()
+    x = chi.orbit.rep
+    E = x.group.exponent
+    counts = [0] * E
+    for hh in G.H.elements():
+        counts[x.value_exponent(G.phi.apply(hh, a))] += 1
+    s = CycloNum.from_coeffs(E, counts)
+    return chi.u.value(h) * s * Fraction(1, len(stab))
+
+
+def bench_table_groups():
+    """(label, G): the groups of the bench's tables workload."""
+    yield "D90", dihedral(45)
+    yield "pq111", group_pq(3, 37, 10)
+    yield "aff110", z_group(11, 10, 2)
+    yield "C3wrC3", build_wreath(WreathSpec.regular(AbelianGroup([3]), AbelianGroup([3])))
+
+
+def test_orbit_sum_values_match_sum_over_H_reference():
+    # the stored form, conductor included, since reports print it
+    def form(v):
+        return v.conductor, v.coeffs, v.den
+
+    for label, G in (*class_function_groups(), *bench_table_groups()):
+        for chi in character_table(G).chars:
+            assert chi.degree == G.H.order // len(chi.orbit.stabilizer), label
+            for g in G.elements():
+                assert form(chi.value_uncached(g)) == form(sum_over_H_value(chi, g)), (
+                    label, chi, g)
+
+
 # -- table validation --------------------------------------------------------------
 
 

@@ -232,6 +232,31 @@ def test_proven_none_search_caches_the_partition_for_orbit_scan(monkeypatch):
     assert find_trivial_stabilizer_alpha(D6, rep, 2) == s
 
 
+def test_pipeline_walks_gamma_once_for_a_late_witness(monkeypatch):
+    # D10 padded to m=14 at n=3 has its first trivial stabilizer late in
+    # the walk, so no partition is cached; the search outcome kept on rep
+    # answers every later character, with the verdicts of a fresh rep each
+    G = dihedral(5)
+    chars = character_table(G).chars
+    walk = symclass._walk_orbits
+    calls = []
+
+    def counting(*args):
+        # a generator, so only a walk that starts is counted
+        calls.append(args)
+        yield from walk(*args)
+
+    monkeypatch.setattr(symclass, "_walk_orbits", counting)
+    fresh = [decide_pipeline(G, G.natural_rep.extended(14), chi, 3).to_json()
+             for chi in chars]
+    assert len(calls) == 2  # one per nonlinear character
+    calls.clear()
+    rep = G.natural_rep.extended(14)
+    assert [decide_pipeline(G, rep, chi, 3).to_json() for chi in chars] == fresh
+    assert len(calls) == 1
+    assert (14, 3) not in rep._orbit_cache
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_deciders_refuse_n_below_one(n):
     # n = 0 and n = -1 answered proven_none, and the oracle raised

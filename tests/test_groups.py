@@ -43,6 +43,16 @@ def direct_product(a_factors, h_factors):
     return SemidirectGroup(A, H, ActionHom.trivial(H, A))
 
 
+def cyclic(G, g):
+    """The powers of g, identity first; its length is the order of g."""
+    out = [G.identity]
+    x = g
+    while x != G.identity:
+        out.append(x)
+        x = G.mul(x, g)
+    return out
+
+
 # -- abelian groups ------------------------------------------------------------
 
 
@@ -193,9 +203,9 @@ def test_wreath_c2_c2_is_dihedral_of_order_8():
     assert G.order == 8 and not G.is_abelian()
     # multiplication-table oracle: same element-order profile as D_8, which
     # separates it from the quaternion group (six elements of order 4)
-    profile = Counter(G.order_of(g) for g in G.elements())
+    profile = Counter(len(cyclic(G, g)) for g in G.elements())
     D8 = dihedral(4)
-    assert profile == Counter(D8.order_of(g) for g in D8.elements())
+    assert profile == Counter(len(cyclic(D8, g)) for g in D8.elements())
     assert profile[4] == 2
     assert G.natural_rep.degree == 4
     assert G.natural_rep.is_faithful()
@@ -418,10 +428,26 @@ def test_enumerate_subgroups_bound_refusal():
         enumerate_subgroups(G, bound=10)
 
 
+def closure(G, gens):
+    """The subgroup generated by gens, by breadth-first products."""
+    els = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.mul(x, g)
+                if y not in els:
+                    els.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return els
+
+
 def pairwise_join_subgroups(G):
     """The former enumeration, kept as a reference: close the cyclic
     subgroups under pairwise join until a fixpoint."""
-    subs = {frozenset(G.cyclic(g)) for g in G.elements()}
+    subs = {frozenset(cyclic(G, g)) for g in G.elements()}
     frontier = list(subs)
     while frontier:
         fresh = []
@@ -429,7 +455,7 @@ def pairwise_join_subgroups(G):
             for T in list(subs):
                 if S <= T or T <= S:
                     continue
-                J = frozenset(G.closure(S | T))
+                J = frozenset(closure(G, S | T))
                 if J not in subs:
                     subs.add(J)
                     fresh.append(J)

@@ -1,9 +1,11 @@
 """README's examples run as written: the library sketch gives the verdicts
 and the rank its comments state, and every command of the CLI block exits
-0."""
+0.  The package imports nothing outside the standard library, as README and
+pyproject.toml's empty dependency list promise."""
 
 import ast
 import shlex
+import sys
 from pathlib import Path
 
 from ostar.cli import EXIT_OK, main
@@ -41,3 +43,20 @@ def test_readme_examples_run_as_stated(tmp_path, monkeypatch):
             k = args.index("--out") + 1
             args[k] = str(tmp_path / f"{i}-{args[k]}")
         assert main(args) == EXIT_OK, args
+
+
+def test_package_imports_only_the_standard_library():
+    files = sorted((ROOT / "src" / "ostar").glob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "ostar" or top in sys.stdlib_module_names, (
+                    path.name, name)
