@@ -32,6 +32,7 @@ from .cyclotomic import (
     CycloNum,
     cyclo_csv,
     cyclotomic_polynomial,
+    prime_factors,
     root_of_unity,
 )
 from .errors import ConsistencyError
@@ -350,41 +351,14 @@ def _unit_generators(E: int) -> list[int]:
     return gens
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _probable_prime(n: int) -> bool:
-    """Miller-Rabin on the first 12 prime bases; deterministic below
-    3.3 * 10^24.  Only used to search for a modulus: no conclusion of the
-    table certificate rests on it."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _cyclotomic_root_mod(E: int, bound: int):
     """(p, w) with p = 1 (mod E), p > bound and Phi_E(w) = 0 (mod p), the
     last checked directly, so that zeta_E -> w is a ring map Z[zeta_E] ->
-    Z/p; None if the search finds no root."""
+    Z/p; None if the search finds no root.  The search is deterministic: p
+    is the first prime that trial division (prime_factors) finds in the
+    progression (bound // E + 1) E + 1, stepping by E."""
     p = (bound // E + 1) * E + 1
-    while not _probable_prime(p):
+    while prime_factors(p) != (p,):
         p += E
     phi = cyclotomic_polynomial(E)
     for h in range(2, p):
@@ -412,7 +386,8 @@ def _table_certified(chars, G: SemidirectGroup) -> bool:
          fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
       4. |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the image
          of every T_ij, i <= j, under zeta_E -> w in Z/p is 0 for some
-         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.
+         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.  The modulus search
+         (_cyclotomic_root_mod) is deterministic.
     False means only "not shown"; the exact checks then decide.
     """
     classes = G.conjugacy_classes()

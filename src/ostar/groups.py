@@ -406,9 +406,8 @@ class PermRep:
     Construction tabulates perm(x s) = perm(x) perm(s) by one checked walk
     of the Cayley graph of G over its standard generators, so the images
     are refused (ValueError) exactly when they do not induce a
-    homomorphism; the inverse of every permutation is tabulated from it.
-    Groups above ELEMENT_CAP are refused with BudgetError, as by every
-    element enumeration.
+    homomorphism.  Groups above ELEMENT_CAP are refused with BudgetError,
+    as by every element enumeration.
     """
 
     def __init__(self, group, a_images, h_images, kind="explicit", degree=None):
@@ -440,13 +439,9 @@ class PermRep:
         )
         if self._perm_of is None:
             raise ValueError("generator images do not induce a homomorphism")
-        self._inv_of = {g: pinv(p) for g, p in self._perm_of.items()}
 
     def perm(self, g):
         return self._perm_of[g]
-
-    def inv_perm(self, g):
-        return self._inv_of[g]
 
     def is_faithful(self) -> bool:
         if self._faithful is None:

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import getitem
+from operator import eq, getitem
 
 from .cyclotomic import CycloNum, cyclo_json
 from .errors import BudgetError, ConsistencyError
@@ -64,19 +64,34 @@ def _require_same_group(G, rep=None, chi=None):
         raise ValueError("representation does not belong to this group")
 
 
-def act(alpha, g, rep: PermRep):
-    """Right action: entry i of the result is alpha at sigma^{-1}(i)."""
+def _require_degree_length(alpha, rep):
+    """Refuse a multi-index whose length is not the degree of rep."""
     if len(alpha) != rep.degree:
         raise ValueError(
             f"multi-index length {len(alpha)} does not match degree {rep.degree}"
         )
-    return tuple(alpha[j] for j in rep.inv_perm(g))
+
+
+def act(alpha, g, rep: PermRep):
+    """Right action: entry i of the result is alpha at sigma^{-1}(i), so
+    alpha_j moves to position sigma(j), read from sigma = rep.perm(g)."""
+    _require_degree_length(alpha, rep)
+    out = [None] * len(alpha)
+    for i, a in zip(rep.perm(g), alpha):
+        out[i] = a
+    return tuple(out)
 
 
 def stabilizer(alpha, G: SemidirectGroup, rep: PermRep):
-    """G_alpha as a tuple in element-code order."""
+    """G_alpha as a tuple in element-code order: g fixes alpha iff
+    alpha[sigma(j)] == alpha[j] for every j, tested on sigma = rep.perm(g)
+    without building the image."""
     _require_same_group(G, rep)
-    return tuple(g for g in G.elements() if act(alpha, g, rep) == alpha)
+    _require_degree_length(alpha, rep)
+    at = alpha.__getitem__
+    return tuple(
+        g for g in G.elements() if all(map(eq, map(at, rep.perm(g)), alpha))
+    )
 
 
 def cycle_count(g, rep: PermRep) -> int:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ostar import characters
 from ostar.characters import (
     _table_certified,
     _unit_generators,
@@ -27,7 +28,7 @@ from ostar.characters import (
     validate_table,
     zero_set,
 )
-from ostar.cyclotomic import CycloNum, root_of_unity
+from ostar.cyclotomic import CycloNum, cyclotomic_polynomial, root_of_unity
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
@@ -626,6 +627,74 @@ def test_table_validation_makes_no_exact_orthogonality_products(monkeypatch):
     monkeypatch.setattr(CycloNum, "__mul__", counting_mul)
     assert validate_table(chars, G).ok
     assert 0 < len(calls) <= 2 * len(chars)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin on the first 12 prime bases; deterministic below
+    3.3 * 10^24.  Only used to search for a modulus: no conclusion of the
+    table certificate rests on it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def miller_rabin_root_mod(E, bound):
+    """The former _cyclotomic_root_mod, kept as the reference: the same
+    progression, with primality tested by _probable_prime."""
+    p = (bound // E + 1) * E + 1
+    while not _probable_prime(p):
+        p += E
+    phi = cyclotomic_polynomial(E)
+    for h in range(2, p):
+        w = pow(h, (p - 1) // E, p)
+        acc = 0
+        for c in reversed(phi):
+            acc = (acc * w + c) % p
+        if acc == 0:
+            return p, w
+    return None
+
+
+def test_modulus_search_matches_miller_rabin_reference(monkeypatch):
+    calls = []
+    search = characters._cyclotomic_root_mod
+
+    def recording(E, bound):
+        found = search(E, bound)
+        calls.append((E, bound, found))
+        return found
+
+    monkeypatch.setattr(characters, "_cyclotomic_root_mod", recording)
+    groups = [(name, suite_group(name)) for name in TABLE_SUITE]
+    groups += [*bench_table_groups(), ("D1000", dihedral(500)),
+               ("aff1806", z_group(43, 42, 3))]
+    for label, G in groups:
+        report = validate_table(irred_chars(G), G)
+        assert report.ok and all(report.checks.values()), label
+    assert len(calls) == len(groups)
+    for E, bound, found in calls:
+        assert found is not None and found == miller_rabin_root_mod(E, bound), (E, bound)
+    assert max(bound for _, bound, _ in calls) > 10**5
 
 
 # -- zero sets ------------------------------------------------------------------------

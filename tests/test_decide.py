@@ -43,6 +43,7 @@ from ostar.groups import (
     dihedral,
     element_json,
     group_pq,
+    pinv,
     regular_rep,
     z_group,
 )
@@ -132,7 +133,7 @@ def scan_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     total = n**m
     nonid = [g for g in G.elements() if g != G.identity]
     if total <= index_budget:
-        invs = [rep.inv_perm(g) for g in nonid]
+        invs = [pinv(rep.perm(g)) for g in nonid]
         for code in range(total):
             alpha = index_from_code(code, m, n)
             for iv in invs:
@@ -144,7 +145,7 @@ def scan_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     if rep.kind == "regular" and n >= 2:
         alpha = tuple(2 if i == 0 else 1 for i in range(m))
         for g in nonid:
-            if tuple(alpha[j] for j in rep.inv_perm(g)) == alpha:
+            if tuple(alpha[j] for j in pinv(rep.perm(g))) == alpha:
                 raise ConsistencyError(
                     "regular-representation fast path produced a stabilized index"
                 )

@@ -1,15 +1,20 @@
 """README's examples run as written: the library sketch gives the verdicts
 and the rank its comments state, and every command of the CLI block exits
-0.  The package imports nothing outside the standard library, as README and
+0.  The numbers of its Bounds section are the code's constants.  The
+package imports nothing outside the standard library, as README and
 pyproject.toml's empty dependency list promise."""
 
 import ast
+import re
 import shlex
 import sys
 from pathlib import Path
 
 from ostar.cli import EXIT_OK, main
-from ostar.decide import NOT_ADMITS
+from ostar.cyclotomic import CONDUCTOR_CAP
+from ostar.decide import CLIQUE_NODE_BUDGET, NOT_ADMITS, VERTEX_BUDGET
+from ostar.groups import ELEMENT_CAP, SUBGROUP_CAP
+from ostar.symclass import DEFAULT_INDEX_BUDGET
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,3 +65,36 @@ def test_package_imports_only_the_standard_library():
                 top = name.partition(".")[0]
                 assert top == "ostar" or top in sys.stdlib_module_names, (
                     path.name, name)
+
+
+NUM = r"\d+(?:\^\d+)?"  # 2000 or 10^7
+# the phrase of README's Bounds section that states each constant
+BOUND_PHRASES = {
+    "ELEMENT_CAP": (rf"element enumeration caps at order ({NUM})", ELEMENT_CAP),
+    "SUBGROUP_CAP": (rf"subgroup enumeration at order ({NUM})", SUBGROUP_CAP),
+    "DEFAULT_INDEX_BUDGET": (rf"orbit scans at `n\^m <= ({NUM})` indices",
+                             DEFAULT_INDEX_BUDGET),
+    "CONDUCTOR_CAP": (rf"conductors at `({NUM})`", CONDUCTOR_CAP),
+    "VERTEX_BUDGET": (rf"refusing graphs above ({NUM}) vertices", VERTEX_BUDGET),
+    "CLIQUE_NODE_BUDGET": (rf"searches above ({NUM}) backtracking nodes",
+                           CLIQUE_NODE_BUDGET),
+}
+
+
+def readme_number(text):
+    """'2000' or '10^7' as an int."""
+    base, _, exp = text.partition("^")
+    return int(base) ** int(exp or 1)
+
+
+def test_readme_bounds_match_the_constants():
+    section = (ROOT / "README.md").read_text().split("\n## Bounds\n", 1)[1]
+    text = " ".join(section.split("\n## ", 1)[0].split())
+    stated = []
+    for name, (phrase, value) in BOUND_PHRASES.items():
+        found = re.findall(phrase, text)
+        assert len(found) == 1, (name, found)
+        assert readme_number(found[0]) == value, (name, found[0], value)
+        stated.append(found[0])
+    # a number the section states without a constant behind it fails too
+    assert sorted(re.findall(NUM, text)) == sorted(stated)

@@ -22,6 +22,7 @@ from ostar.groups import (
     SemidirectGroup,
     dihedral,
     group_pq,
+    pinv,
     regular_rep,
     z_group,
 )
@@ -112,6 +113,80 @@ def test_act_is_right_action():
 def test_act_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         act((1, 2), D6.identity, D6_REP)
+
+
+def reference_act(alpha, g, rep):
+    """The former act, kept as the reference: alpha read through the
+    inverse permutation, entry i = alpha at sigma^{-1}(i)."""
+    if len(alpha) != rep.degree:
+        raise ValueError(
+            f"multi-index length {len(alpha)} does not match degree {rep.degree}"
+        )
+    return tuple(alpha[j] for j in pinv(rep.perm(g)))
+
+
+def reference_stabilizer(alpha, G, rep):
+    return tuple(g for g in G.elements() if reference_act(alpha, g, rep) == alpha)
+
+
+def reference_coset_transversal(alpha, G, rep):
+    seen = set()
+    reps = []
+    for g in G.elements():
+        beta = reference_act(alpha, g, rep)
+        if beta not in seen:
+            seen.add(beta)
+            reps.append(g)
+    return reps
+
+
+def action_cases():
+    """(label, G, rep): the table suite's natural reps and the regular reps
+    of order <= 12, each padded by 0, 1 and 2 fixed points."""
+    suite = [(name, suite_group(name)) for name in TABLE_SUITE]
+    bases = [(name, G, G.natural_rep) for name, G in suite]
+    bases += [(f"{name}reg", G, regular_rep(G)) for name, G in suite if G.order <= 12]
+    bases += [
+        (f"random{seed}.{i}reg", G, regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    return [
+        (f"{label}+{pad}", G, rep.extended(rep.degree + pad))
+        for label, G, rep in bases
+        for pad in (0, 1, 2)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_action_matches_inverse_table_reference(n):
+    rng = random.Random(n)
+    for label, G, rep in action_cases():
+        m = rep.degree
+        if n**m <= 729:
+            alphas = [index_from_code(code, m, n) for code in range(n**m)]
+        else:
+            alphas = [tuple(rng.randint(1, n) for _ in range(m)) for _ in range(40)]
+        for alpha in alphas:
+            for g in G.elements():
+                assert act(alpha, g, rep) == reference_act(alpha, g, rep), (label, alpha, g)
+            assert stabilizer(alpha, G, rep) == reference_stabilizer(alpha, G, rep), (
+                label, alpha)
+            assert coset_transversal(alpha, G, rep) == reference_coset_transversal(
+                alpha, G, rep), (label, alpha)
+
+
+def test_action_and_stabilizer_refuse_wrong_length_like_the_reference():
+    for alpha in ((1, 2), (1, 2, 1, 1)):
+        with pytest.raises(ValueError) as expected:
+            reference_act(alpha, D6.identity, D6_REP)
+        assert str(expected.value) == (
+            f"multi-index length {len(alpha)} does not match degree 3")
+        for call in (lambda: act(alpha, D6.identity, D6_REP),
+                     lambda: stabilizer(alpha, D6, D6_REP)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
 
 
 # -- orbit scans --------------------------------------------------------------
@@ -729,7 +804,7 @@ def tuple_orbit_partition(G, rep, m, n):
     tuple of every representative is built and then encoded."""
     total = n**m
     elems = G.elements()
-    invs = [rep.inv_perm(g) for g in elems]
+    invs = [pinv(rep.perm(g)) for g in elems]
     visited = bytearray(total)
     parts = []
     for code in range(total):
@@ -793,13 +868,6 @@ class StandInRep:
 
     def perm(self, g):
         return self._perms[g]
-
-    def inv_perm(self, g):
-        p = self._perms[g]
-        inv = [0] * len(p)
-        for i, j in enumerate(p):
-            inv[j] = i
-        return tuple(inv)
 
 
 def test_orbit_partition_corrupted_permutation_fails_orbit_stabilizer():
