@@ -309,14 +309,28 @@ def _verdict_agreement(decided, verified):
 
 def run_job(cfg: JobConfig) -> dict:
     """Execute the requested tasks in dependency order and return the
-    report, deterministic for identical configs."""
+    report as plain JSON data, deterministic for identical configs: each
+    character's orbit rows become a list of dicts, so report_bytes of the
+    report, edited or not, is its json.dumps text."""
     G, rep = build_job(cfg)
-    return _run_tasks(cfg, G, rep)[0]
+    report = _run_tasks(cfg, G, rep)
+    for entry in report["tasks"].get("orbits", {}).get("per_character", ()):
+        entry["records"] = [
+            {
+                "rep": list(r.rep),
+                "orbit_size": r.orbit_size,
+                "stabilizer_order": len(r.stabilizer),
+                "s_alpha": r.s_alpha,
+                "in_delta_bar": r.in_delta_bar,
+            }
+            for r in entry["records"].records
+        ]
+    return report
 
 
 def _run_tasks(cfg, G, rep):
-    """The report and the orbit records per character (None without the
-    orbits and dims tasks), which those tasks and the CSV export share."""
+    """The report, with each character's orbit rows held as an _OrbitRows
+    that report_bytes and the CSV export read."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -344,7 +358,7 @@ def _run_tasks(cfg, G, rep):
         "tasks": {},
     }
     if not cfg.tasks:
-        return report, None
+        return report
 
     table = validated_table(G)
     report["table_validation"] = dict(table.report.checks)
@@ -436,29 +450,18 @@ def _run_tasks(cfg, G, rep):
                     "agrees_with_decide": agrees,
                 })
             report["tasks"]["verify"] = {"per_character": per_char}
-    return report, scans
+    return report
 
 
-class _OrbitRows(list):
-    """One character's orbit rows.  It is a plain list of dicts, which is
-    what json.dumps and the callers of run_job read.  It also carries the
-    OrbitRecords the rows were built from, and texts: the row text that no
-    character enters, cached per indent and shared by all characters of
-    one scan."""
+class _OrbitRows:
+    """One character's orbit rows, held as the OrbitRecords of its scan,
+    and texts: the row text that no character enters, cached per indent and
+    shared by all characters of one scan.  report_bytes writes them as the
+    list of row dicts that run_job makes of them."""
 
     __slots__ = ("records", "texts")
 
     def __init__(self, records, texts):
-        super().__init__(
-            {
-                "rep": list(r.rep),
-                "orbit_size": r.orbit_size,
-                "stabilizer_order": len(r.stabilizer),
-                "s_alpha": r.s_alpha,
-                "in_delta_bar": r.in_delta_bar,
-            }
-            for r in records
-        )
         self.records, self.texts = records, texts
 
 
@@ -466,11 +469,16 @@ def report_bytes(report: dict) -> bytes:
     """The report as json.dumps(report, sort_keys=True, indent=2) plus a
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
-    writing the same text directly.  Orbit rows are spliced from text
-    rendered once per orbit (see _orbit_rows_text) and written from the
-    OrbitRecords they were built from, so an edit to those rows does not
-    reach the bytes."""
-    return (_json_text(report, "\n") + "\n").encode()
+    writing the same text directly.  The orbit rows of a CLI run (an
+    _OrbitRows) are spliced from text rendered once per orbit (see
+    _orbit_rows_text).  An integer too long for the interpreter's
+    int-to-decimal limit, which json.dumps cannot write either, raises
+    BudgetError."""
+    try:
+        text = _json_text(report, "\n") + "\n"
+    except ValueError as exc:
+        raise BudgetError(f"report refused: {exc}") from exc
+    return text.encode()
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -481,7 +489,7 @@ def _json_text(o, ind):
     """o as json.dumps(o, sort_keys=True, indent=2) writes it when its line
     starts with ind, a newline plus the current indentation.  Every
     container is built with one "".join over its pieces, and the orbit rows
-    of run_job (an _OrbitRows) by _orbit_rows_text.  Reports hold only
+    of a CLI run (an _OrbitRows) by _orbit_rows_text.  Reports hold only
     strings, integers, booleans, None, lists, tuples and dicts with string
     keys; anything else raises TypeError naming its type."""
     if isinstance(o, str):
@@ -494,13 +502,13 @@ def _json_text(o, ind):
         return "false"
     if isinstance(o, int):
         return _int_text(o)
+    if type(o) is _OrbitRows:
+        return _orbit_rows_text(o, ind)
     inner = ind + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if type(o) is _OrbitRows:
-            return _orbit_rows_text(o, ind)
         if all(type(v) is int for v in o):
             return "".join(("[", inner, sep.join(map(_int_text, o)), ind, "]"))
         parts = [sep] * (2 * len(o) + 1)
@@ -547,7 +555,7 @@ def _orbit_rows_text(rows, ind):
     return f"[{inner}{text}{ind}]"
 
 
-def _write_csv_outputs(cfg, G, scans, out_path: Path) -> list:
+def _write_csv_outputs(cfg, G, report, out_path: Path) -> list:
     """Derive CSV table files next to the JSON report."""
     table = validated_table(G)
     written = []
@@ -558,10 +566,10 @@ def _write_csv_outputs(cfg, G, scans, out_path: Path) -> list:
             export_chartable_csv(G, table.chars, fh)
         written.append(p)
     if "orbits" in cfg.tasks:
-        for i, records in enumerate(scans):
+        for i, entry in enumerate(report["tasks"]["orbits"]["per_character"]):
             p = base.with_name(base.name + f".orbits.chi{i}.csv")
             with open(p, "w", newline="") as fh:
-                export_orbits_csv(records, fh)
+                export_orbits_csv(entry["records"].records, fh)
             written.append(p)
     return written
 
@@ -622,7 +630,7 @@ def main(argv=None) -> int:
             raise ConfigError("csv output requires --out (or output.path)")
 
         G, rep = build_job(cfg)
-        report, scans = _run_tasks(cfg, G, rep)
+        report = _run_tasks(cfg, G, rep)
         payload = report_bytes(report)
         if not out:
             sys.stdout.write(payload.decode())
@@ -631,7 +639,7 @@ def main(argv=None) -> int:
             Path(out).write_bytes(payload)
             written = []
             if fmt == "csv":
-                written = _write_csv_outputs(cfg, G, scans, Path(out))
+                written = _write_csv_outputs(cfg, G, report, Path(out))
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}") from exc
         for p in written:

@@ -47,6 +47,7 @@ __all__ = [
     "pmul",
     "pinv",
     "perm_cycle_count",
+    "count_text",
     "refuse_above_cap",
 ]
 
@@ -54,18 +55,21 @@ ELEMENT_CAP = 2000   # hard cap for element enumeration
 SUBGROUP_CAP = 200   # hard cap for subgroup-lattice enumeration
 
 
-def refuse_above_cap(order):
-    """Raise BudgetError if a group of this order is above ELEMENT_CAP.
+def count_text(x):
+    """The positive int x in decimal, or "at least 2^k" when it is too long
+    for the interpreter's int-to-decimal limit, for refusal messages."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 2^{x.bit_length() - 1}"
 
-    Orders too long for the interpreter's int-to-decimal limit are named by
-    their bit length instead."""
+
+def refuse_above_cap(order):
+    """Raise BudgetError if a group of this order is above ELEMENT_CAP."""
     if order > ELEMENT_CAP:
-        try:
-            text = str(order)
-        except ValueError:
-            text = f"at least 2^{order.bit_length() - 1}"
         raise BudgetError(
-            f"refusing to enumerate a group of order {text} (cap {ELEMENT_CAP})"
+            f"refusing to enumerate a group of order {count_text(order)} "
+            f"(cap {ELEMENT_CAP})"
         )
 
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import compress
 from operator import eq, getitem
 
-from .cyclotomic import CycloNum, cyclo_json
+from .cyclotomic import CycloNum
 from .errors import BudgetError, ConsistencyError
-from .groups import PermRep, SemidirectGroup, element_json, perm_cycle_count
+from .groups import PermRep, SemidirectGroup, count_text, perm_cycle_count
 
 __all__ = [
     "DEFAULT_INDEX_BUDGET",
@@ -134,8 +134,8 @@ def _orbits(G, rep, m, n, index_budget):
     total = n**m
     if total > index_budget:
         raise BudgetError(
-            f"orbit scan refused: n^m = {total} exceeds the index budget "
-            f"{index_budget}"
+            f"orbit scan refused: n^m = {count_text(total)} exceeds the "
+            f"index budget {index_budget}"
         )
     cache = vars(rep).setdefault("_orbit_cache", {})
     parts = cache.get((m, n))
@@ -344,12 +344,6 @@ class GramMatrix:
 
     def rank(self) -> int:
         return cyclo_rank(self.entries)
-
-    def to_json(self):
-        return {
-            "coset_reps": [element_json(g) for g in self.coset_reps],
-            "entries": [[cyclo_json(v) for v in row] for row in self.entries],
-        }
 
 
 def gram(alpha, chi, G, rep) -> GramMatrix:

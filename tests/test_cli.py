@@ -323,6 +323,31 @@ def test_main_validate_refuses_order_past_the_decimal_digit_limit(tmp_path, caps
             in err)
 
 
+@pytest.mark.parametrize("task, code", [
+    ("orbits", EXIT_BUDGET), ("dims", EXIT_BUDGET), ("verify", EXIT_OK), ("decide", EXIT_BUDGET),
+])
+def test_main_refuses_n_to_the_m_past_the_decimal_digit_limit(tmp_path, capsys, task, code):
+    # 2^20000 has 6021 decimal digits, past the interpreter's default
+    # int-to-str limit of 4300: the index-budget refusal names it by its bit
+    # length, and the decided dimension witness is refused by the writer
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 2, "m": 20000, "tasks": [task]})
+    assert main(["run", str(p)]) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        verdicts = json.loads(captured.out)["tasks"]["verify"]["per_character"]
+        assert len(verdicts) == 3
+        for entry in verdicts:
+            assert entry["verdict"]["status"] == "Inconclusive"
+            assert ("n^m = at least 2^20000 exceeds the index budget"
+                    in entry["verdict"]["witness"]["budget_refused"])
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("budget refused: ")
+        assert ("report refused: " if task == "decide" else
+                "n^m = at least 2^20000 exceeds the index budget") in captured.err
+
+
 def test_main_validate_rejects_non_commuting_action(tmp_path, capsys):
     p = write_cfg(tmp_path, {"A": [2, 2], "H": [2, 2],
                              "phi": [[[0, 1], [1, 0]], [[1, 0], [1, 1]]],

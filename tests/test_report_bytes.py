@@ -163,6 +163,43 @@ def test_orbit_rows_match_json_dumps_at_any_depth(name):
 
 
 @pytest.mark.parametrize("name", ORBIT_JOBS)
+def test_edited_orbit_report_matches_json_dumps(name):
+    report, per_char = orbit_report(name)
+    rows = per_char[0]["records"]
+    rows[0]["s_alpha"] += 5
+    rows.append(dict(rows[-1], rep=[9] * len(rows[-1]["rep"])))
+    assert report_bytes(report) == reference(report)
+
+
+# every orbit job, and every config with all tasks
+CLI_JOBS = {
+    **{name: dict(doc, tasks=["orbits", "dims"]) for name, doc in ORBIT_JOBS.items()},
+    **{path.stem: dict(json.loads(path.read_text()), tasks=list(TASKS))
+       for path in CONFIGS},
+}
+
+
+@pytest.mark.parametrize("name", CLI_JOBS)
+def test_cli_reports_match_json_dumps_of_run_job(name, tmp_path):
+    # the CLI writes orbit rows from their OrbitRecords (_orbit_rows_text),
+    # run_job returns them as dicts: both must give the json.dumps text
+    doc = CLI_JOBS[name]
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["run", str(cfg_path), "--out", str(out)])
+    if name == "explicit_semidirect":
+        # the regular representation of degree 20 with n = 3 is past the
+        # index budget, so this job has no report
+        assert code == 3 and not out.exists()
+        with pytest.raises(BudgetError):
+            run_job(parse_config(json.dumps(doc)))
+        return
+    assert code == 0
+    assert out.read_bytes() == reference(run_job(parse_config(json.dumps(doc))))
+
+
+@pytest.mark.parametrize("name", ORBIT_JOBS)
 def test_orbit_rows_read_as_plain_dicts(name):
     report, per_char = orbit_report(name)
     G, rep = build_job(orbit_job(name))

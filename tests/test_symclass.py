@@ -520,18 +520,6 @@ def test_gram_matches_explicit_tensor_oracle_d6():
                 assert gm.rank() == r.s_alpha
 
 
-def test_gram_json_export_is_exact():
-    gm = gram((1, 1, 2), CHI2, D6, D6_REP)
-    j = gm.to_json()
-    assert len(j["coset_reps"]) == 3
-    cell = j["entries"][0][0]
-    assert cell["conductor"] == 1
-    assert cell["coeffs"] == [[2, 3]]
-    off = j["entries"][0][1]
-    assert off["coeffs"] == [[-1, 3]]
-    assert "approx" in cell
-
-
 def test_orbit_scan_with_padded_rep():
     # embedding the degree-3 action into S_5 by fixed points: extra positions
     # never move, so they only multiply the orbit count
