@@ -103,7 +103,7 @@ def parse_config(text: str) -> JobConfig:
     with a path into the document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "expected a JSON object")
 

@@ -40,8 +40,8 @@ from .symclass import (
     _orbits,
     _require_positive_n,
     _require_same_group,
+    _right_coset_reps,
     coset_sums,
-    coset_transversal,
     dim_symmetry_class,
     orbit_scan,
     stabilizer,
@@ -360,21 +360,24 @@ def brute_force_verify(G, rep, chi, n,
             INCONCLUSIVE, BRUTE_FORCE, {"zero_dimension": True, "dim": 0}
         )
 
+    elems, inv = G.elements(), G.inv_code
+
     def search(record):
         """The row fields shared by every orbit with this stabilizer, and
         the budget that refused the search (None when it ran)."""
-        reps = coset_transversal(record.rep, G, rep)
+        reps = _right_coset_reps(G, record.stabilizer)
         refused = {"s_alpha": record.s_alpha, "clique": None,
                    "budget_exceeded": True}
         if len(reps) > VERTEX_BUDGET:
             return refused, f"vertex budget {VERTEX_BUDGET}"
-        sums = coset_sums(chi, G, record.stabilizer)
+        zero = [s.is_zero() for s in coset_sums(chi, G, record.stabilizer)]
         nvert = len(reps)
-        invs = [G.inv(r) for r in reps]
         adj = [[False] * nvert for _ in range(nvert)]
         for i in range(nvert):
+            # code(r_j r_i^-1) is entry code(r_j) of the column of r_i^-1
+            col = G.col(inv[reps[i]])
             for j in range(i + 1, nvert):
-                if sums[G.mul(reps[j], invs[i])].is_zero():
+                if zero[col[reps[j]]]:
                     adj[i][j] = adj[j][i] = True
         try:
             clique = _find_clique(adj, record.s_alpha)
@@ -385,7 +388,7 @@ def brute_force_verify(G, rep, chi, n,
             "clique": (
                 None
                 if clique is None
-                else [element_json(reps[v]) for v in sorted(clique)]
+                else [element_json(elems[reps[v]]) for v in sorted(clique)]
             ),
         }, None
 

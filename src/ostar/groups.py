@@ -7,6 +7,12 @@ and every other ordering are tuple order, which is the order of the
 mixed-radix integer encoding (code, element_code) of the coordinates, so
 results are reproducible bit for bit.
 
+The element code of g is its position in SemidirectGroup.elements().  The
+coset layer works on codes: G.code maps elements to codes, G.inv_code and
+G.class_of are arrays over codes, and G.col(y) is the column of right
+multiplication by y, built from the component tables when first asked for
+and cached; no product table is built.
+
 Permutations are 0-based image tuples and compose left to right:
 (p * q)(x) = q(p(x)).  With that convention the right action on
 multi-indices satisfies (alpha.g).h = alpha.(g h).
@@ -14,14 +20,18 @@ multi-indices satisfies (alpha.g).h = alpha.(g h).
 Automorphisms, the action H -> Aut(A) and permutation representations are
 tabulated from generator images at construction by one checked breadth-first
 walk of the Cayley graph (_tabulate), the only homomorphism check: it refuses
-images that do not induce a homomorphism.  Groups above ELEMENT_CAP are
+images that do not induce a homomorphism.  The one exception is a wreath
+product's block automorphisms: a permutation of coordinates is always an
+automorphism, so those are tabulated directly.  Groups above ELEMENT_CAP are
 refused (BudgetError) while they are built, before any table is made.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 
 from .errors import BudgetError
@@ -191,6 +201,14 @@ class AbelianGroup:
     def neg(self, a):
         return tuple((-x) % n for x, n in zip(a, self.factors))
 
+    def translation_codes(self, b):
+        """The codes of a + b for every a, in code order."""
+        out = [0]
+        for y, n in zip(b, self.factors):
+            shifted = [(x + y) % n for x in range(n)]
+            out = [c * n + x for c in out for x in shifted]
+        return out
+
     def mul_scalar(self, c, a):
         return tuple((c * x) % n for x, n in zip(a, self.factors))
 
@@ -240,6 +258,13 @@ class Automorphism:
             )
         if len(set(self._map.values())) != group.order:
             raise ValueError("generator images do not define a bijection")
+
+    @classmethod
+    def _from_table(cls, group, gen_images, table):
+        """An automorphism whose table is known to be one, without the walk."""
+        aut = cls.__new__(cls)
+        aut.group, aut.gen_images, aut._map = group, tuple(gen_images), table
+        return aut
 
     def apply(self, a):
         return self._map[a]
@@ -312,7 +337,8 @@ class SemidirectGroup:
         self.natural_rep = None
         self._elements = None
         self._classes = None
-        self._class_index = None
+        self._class_of = None
+        self._cols = {}
         self._char_table = None
         self._subgroups = None
 
@@ -332,6 +358,46 @@ class SemidirectGroup:
 
     def element_code(self, g) -> int:
         return self.A.code(g[0]) * self.H.order + self.H.code(g[1])
+
+    @cached_property
+    def code(self):
+        """Element -> code, its position in elements()."""
+        return {g: c for c, g in enumerate(self.elements())}
+
+    @cached_property
+    def inv_code(self):
+        """inv_code[code(g)] = code(g^-1)."""
+        code = self.code
+        return [code[self.inv(g)] for g in self.elements()]
+
+    @property
+    def class_of(self):
+        """class_of[code(g)] = the index of g's class in conjugacy_classes()."""
+        if self._class_of is None:
+            self.conjugacy_classes()
+        return self._class_of
+
+    def col(self, y: int):
+        """Right multiplication by the element of code y as an array of
+        codes, col(y)[code(x)] = code(x y), built on first use and cached.
+
+        With y = (b, k), x = (a, h) has x y = (a + phi_h(b), h + k), so for
+        each h the codes of x y over every a are one translation of A by
+        phi_h(b), offset by the code of h + k: |H| action lookups and
+        O(|G|) integer work, no group product."""
+        col = self._cols.get(y)
+        if col is None:
+            b, k = self.elements()[y]  # refuses groups above ELEMENT_CAP
+            H, hn = self.H, self.H.order
+            col = [0] * self.order
+            for j, h in enumerate(H.elements()):
+                t = H.code(H.add(h, k))
+                col[j::hn] = [
+                    c * hn + t for c in self.A.translation_codes(self.phi.apply(h, b))
+                ]
+            # 2-byte codes: ELEMENT_CAP is far below 2^16
+            col = self._cols[y] = array("H", col)
+        return col
 
     def element_at(self, code: int):
         ac, hc = divmod(code, self.H.order)
@@ -385,13 +451,11 @@ class SemidirectGroup:
                     assigned[x] = len(classes)
                 classes.append(cls)
             self._classes = tuple(classes)
-            self._class_index = assigned
+            self._class_of = list(map(assigned.__getitem__, self.elements()))
         return self._classes
 
     def class_index(self, g) -> int:
-        if self._class_index is None:
-            self.conjugacy_classes()
-        return self._class_index[g]
+        return self.class_of[self.code[g]]
 
 
 def element_json(g):
@@ -591,11 +655,20 @@ class WreathSpec:
     @staticmethod
     def regular(A: AbelianGroup, H: AbelianGroup) -> "WreathSpec":
         """Omega = H acting on itself by translation."""
-        elems = H.elements()
-        perms = tuple(
-            tuple(H.code(H.add(e, gen)) for e in elems) for gen in H.generators()
-        )
+        perms = tuple(tuple(H.translation_codes(gen)) for gen in H.generators())
         return WreathSpec(A, H, H.order, perms)
+
+
+def _block_automorphism(K, k_a, sig):
+    """The automorphism of K = A^Omega, with k_a coordinates per block,
+    that moves block w to block sig[w].  A permutation of coordinates is
+    always an automorphism of K, so its table is written down directly,
+    without a walk of the Cayley graph of K."""
+    pi = [v * k_a + i for v in sig for i in range(k_a)]
+    source = pinv(pi)
+    gens = K.generators()
+    table = {k: tuple(map(k.__getitem__, source)) for k in K.elements()}
+    return Automorphism._from_table(K, [gens[j] for j in pi], table)
 
 
 def build_wreath(spec: WreathSpec) -> SemidirectGroup:
@@ -622,24 +695,13 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
             raise ValueError(f"h_action[{j}] is not a permutation of 0..{om - 1}")
 
     K = AbelianGroup(A.factors * om)
-    k_gens = K.generators()
-    k_a = len(A.factors)
-
-    def block_automorphism(sig):
-        images = []
-        for w in range(om):
-            for i in range(k_a):
-                images.append(k_gens[sig[w] * k_a + i])
-        return Automorphism(K, images)
-
     aord = A.order
     degree = aord * om
     a_images = []
     for w in range(om):
         for gen in A.generators():
             p = list(range(degree))
-            for x in range(aord):
-                p[w * aord + x] = w * aord + A.code(A.add(A.element_at(x), gen))
+            p[w * aord:(w + 1) * aord] = [w * aord + c for c in A.translation_codes(gen)]
             a_images.append(tuple(p))
     h_images = []
     for sig in spec.h_action:
@@ -650,7 +712,8 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
                 p[w * aord + x] = siginv[w] * aord + x
         h_images.append(tuple(p))
     try:
-        phi = ActionHom(H, K, tuple(block_automorphism(sig) for sig in spec.h_action))
+        phi = ActionHom(H, K, tuple(_block_automorphism(K, len(A.factors), sig)
+                                    for sig in spec.h_action))
         G = SemidirectGroup(K, H, phi, origin="wreath")
         natural = PermRep(G, tuple(a_images), tuple(h_images), kind="natural")
     except ValueError:

@@ -298,40 +298,73 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     return int(q)
 
 
-def coset_sums(chi, G, stab) -> dict:
-    """The map g -> sum of chi(g h) over h in the subgroup stab, for every
-    g in G.  The sum depends only on the left coset g stab, so each coset
-    is summed once: |G| character values in all."""
+def coset_sums(chi, G, stab) -> list:
+    """The list, indexed by element code, whose entry at code(x) is the sum
+    of chi(x h) over h in the subgroup stab.  The sum depends only on the
+    left coset x stab, whose codes col(h)[code(x)] are read from the
+    stabilizer's columns, and on the classes that coset meets, so it is
+    summed from the class values once per distinct multiset of classes.
+    No group product is taken."""
     _require_same_group(G, chi=chi)
-    sums = {}
-    for g in G.elements():
-        if g not in sums:
-            coset = [G.mul(g, h) for h in stab]
-            acc = sum(map(chi.value, coset), CycloNum.zero())
-            sums.update(dict.fromkeys(coset, acc))
+    return _coset_sums(chi.values, G, stab)
+
+
+def _coset_sums(values, G, stab):
+    """coset_sums of the class function with the given class values."""
+    cols = _columns(G, stab)
+    class_of = G.class_of
+    by_classes = {}
+    sums = [None] * G.order
+    for x in range(G.order):
+        if sums[x] is None:
+            coset = [col[x] for col in cols]
+            key = tuple(sorted([class_of[y] for y in coset]))
+            acc = by_classes.get(key)
+            if acc is None:
+                acc = by_classes[key] = sum(map(values.__getitem__, key),
+                                            CycloNum.zero())
+            for y in coset:
+                sums[y] = acc
     return sums
+
+
+def _columns(G, stab):
+    """The right-multiplication columns of the elements of stab."""
+    code = G.code
+    return [G.col(code[h]) for h in stab]
+
+
+def _right_coset_reps(G, stab):
+    """Codes of the least element of each right coset stab g, ascending.
+    The coset of g is the set of inverses of the left coset g^-1 stab, so
+    it is marked through the stabilizer's columns and the inverse array."""
+    cols = _columns(G, stab)
+    inv = G.inv_code
+    marked = bytearray(G.order)
+    reps = []
+    for g in range(G.order):
+        if not marked[g]:
+            reps.append(g)
+            gi = inv[g]
+            for col in cols:
+                marked[inv[col[gi]]] = 1
+    return reps
 
 
 def inner_product(alpha, g, chi, G, rep) -> CycloNum:
     """<e*_alpha, e*_{alpha.g}> = chi(e)/|G| times the sum of chi(g h) over
     the stabilizer of alpha."""
     _require_same_group(G, rep, chi)
-    stab = stabilizer(alpha, G, rep)
-    return coset_sums(chi, G, stab)[g] * Fraction(chi.degree, G.order)
+    sums = coset_sums(chi, G, stabilizer(alpha, G, rep))
+    return sums[G.code[g]] * Fraction(chi.degree, G.order)
 
 
 def coset_transversal(alpha, G, rep):
     """Lex-min representative of each right coset of G_alpha, in ascending
     element-code order (one coset per orbit index)."""
     _require_same_group(G, rep)
-    seen = set()
-    reps = []
-    for g in G.elements():
-        beta = act(alpha, g, rep)
-        if beta not in seen:
-            seen.add(beta)
-            reps.append(g)
-    return reps
+    elems = G.elements()
+    return [elems[g] for g in _right_coset_reps(G, stabilizer(alpha, G, rep))]
 
 
 @dataclass
@@ -348,21 +381,26 @@ class GramMatrix:
 
 def gram(alpha, chi, G, rep) -> GramMatrix:
     """Gram matrix of {e*_{alpha.sigma}} over coset representatives; alpha
-    must lie in Delta-bar."""
+    must lie in Delta-bar.  Entry (i, j) is chi(e)/|G| times the coset sum
+    at code(r_j r_i^-1) = col(code(r_i^-1))[code(r_j)], summed from the
+    scaled class values."""
     _require_same_group(G, rep, chi)
-    sums = coset_sums(chi, G, stabilizer(alpha, G, rep))
-    if sums[G.identity].is_zero():
+    stab = stabilizer(alpha, G, rep)
+    scale = Fraction(chi.degree, G.order)
+    sums = _coset_sums([v * scale for v in chi.values], G, stab)
+    if sums[0].is_zero():  # code 0 is the identity
         raise ValueError(
             f"{alpha} is not in Delta-bar for this character; its symmetrized "
             f"tensor vanishes"
         )
-    reps = coset_transversal(alpha, G, rep)
-    scale = Fraction(chi.degree, G.order)
+    reps = _right_coset_reps(G, stab)
+    inv = G.inv_code
     rows = tuple(
-        tuple(sums[G.mul(rj, ri_inv)] * scale for rj in reps)
-        for ri_inv in map(G.inv, reps)
+        tuple(sums[col[rj]] for rj in reps)
+        for col in (G.col(inv[ri]) for ri in reps)
     )
-    return GramMatrix(tuple(reps), rows)
+    elems = G.elements()
+    return GramMatrix(tuple(elems[r] for r in reps), rows)
 
 
 def cyclo_rank(rows) -> int:

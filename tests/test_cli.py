@@ -348,6 +348,20 @@ def test_main_refuses_n_to_the_m_past_the_decimal_digit_limit(tmp_path, capsys, 
                 "n^m = at least 2^20000 exceeds the index budget") in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_main_config_integer_past_the_decimal_digit_limit_exits_2(tmp_path, capsys,
+                                                                  command):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal past the interpreter's 4300-digit int-to-str limit
+    p = tmp_path / "job.json"
+    p.write_text('{"family":{"dihedral":{"s":3}},"rep":"natural","n":'
+                 + "9" * 5000 + ',"tasks":["orbits"]}')
+    assert main([command, str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config is not valid JSON: ")
+
+
 def test_main_validate_rejects_non_commuting_action(tmp_path, capsys):
     p = write_cfg(tmp_path, {"A": [2, 2], "H": [2, 2],
                              "phi": [[[0, 1], [1, 0]], [[1, 0], [1, 1]]],

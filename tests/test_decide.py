@@ -52,7 +52,6 @@ from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
     _orbit_partition,
     _require_same_group,
-    coset_sums,
     coset_transversal,
     index_from_code,
     inner_product,
@@ -61,6 +60,7 @@ from ostar.symclass import (
 )
 from test_acceptance import TABLE_SUITE, group as suite_group
 from test_random_products import sample_groups
+from test_symclass import reference_coset_sums, reference_coset_transversal
 
 
 def trivial_group():
@@ -538,7 +538,8 @@ def per_orbit_brute_force_verify(G, rep, chi, n,
                                  vertex_budget=VERTEX_BUDGET):
     """The former sequential brute_force_verify, kept as a reference: one
     coset transversal, coset-sum table and clique search per Delta-bar
-    orbit."""
+    orbit, with the transversal, the sums and the adjacency loop all on
+    tuple products."""
     _require_validated(G, rep, chi)
     try:
         records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
@@ -552,7 +553,7 @@ def per_orbit_brute_force_verify(G, rep, chi, n,
 
     def handle(record):
         alpha = record.rep
-        reps = coset_transversal(alpha, G, rep)
+        reps = reference_coset_transversal(alpha, G, rep)
         if len(reps) > vertex_budget:
             return {
                 "rep": list(alpha),
@@ -560,7 +561,7 @@ def per_orbit_brute_force_verify(G, rep, chi, n,
                 "clique": None,
                 "budget_exceeded": True,
             }
-        sums = coset_sums(chi, G, record.stabilizer)
+        sums = reference_coset_sums(chi, G, record.stabilizer)
         nvert = len(reps)
         invs = [G.inv(r) for r in reps]
         adj = [[False] * nvert for _ in range(nvert)]

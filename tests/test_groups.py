@@ -36,7 +36,7 @@ from ostar.groups import (
     z_group,
 )
 from test_acceptance import TABLE_SUITE, group as suite_group
-from test_random_products import sample_groups
+from test_random_products import WREATH_FACTORS, sample_groups
 
 
 def direct_product(a_factors, h_factors):
@@ -595,6 +595,23 @@ def test_dihedral_1000_build_retains_one_permutation_table():
     assert retained < 30e6, f"dihedral(1000) retained {retained / 1e6:.1f} MB"
 
 
+def test_dihedral_1000_builds_no_column_and_one_column_is_linear():
+    # no right-multiplication column exists until the coset layer asks for
+    # one, so the retention test above measures the build alone; a column
+    # at order 2000 is one array of 2-byte codes
+    G = dihedral(1000)
+    assert G._cols == {}
+    y = G.code[(G.A.generators()[0], G.H.generators()[0])]
+    tracemalloc.start()
+    try:
+        col = G.col(y)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(G._cols) == [y] and len(col) == G.order
+    assert retained < 16 * G.order, f"one column retained {retained} bytes"
+
+
 def generator_power_action(phi, h, a):
     """The former ActionHom.apply, kept as a reference: each generator image
     applied h_j times, every image evaluated from its generator images."""
@@ -666,6 +683,33 @@ def test_tuple_order_reproduces_code_order(name, monkeypatch):
                     break
         v = decide.decide_subgroup_criterion(G, rep, chi, 2)
         assert v.witness.get("subgroup") == expected
+
+
+def code_layer_groups(name):
+    if name == "wreaths":
+        specs = [*TEST_WREATHS, *(WreathSpec.regular(*map(AbelianGroup, f))
+                                  for f in WREATH_FACTORS)]
+        return [build_wreath(spec) for spec in specs]
+    if name == "random":
+        return [G for seed in (1, 2) for G in sample_groups(seed, count=4, max_order=12)]
+    return [suite_group(name)]
+
+
+@pytest.mark.parametrize("name", [*TABLE_SUITE, "wreaths", "random"])
+def test_code_layer_matches_tuple_products(name):
+    # codes, inverses, classes and every right-multiplication column,
+    # against element_code of the tuple product for every pair
+    for G in code_layer_groups(name):
+        elems = G.elements()
+        code = G.element_code
+        assert [G.code[g] for g in elems] == list(range(G.order))
+        assert [code(g) for g in elems] == list(range(G.order))
+        assert G.inv_code == [code(G.inv(g)) for g in elems]
+        classes = G.conjugacy_classes()
+        assert G.class_of == [
+            next(i for i, cls in enumerate(classes) if g in cls) for g in elems]
+        for y in elems:
+            assert list(G.col(code(y))) == [code(G.mul(x, y)) for x in elems], (G, y)
 
 
 def all_automorphisms(A):
@@ -766,7 +810,7 @@ def former_wreath_checks(spec):
 
 class _BuiltOnceAutomorphism(Automorphism):
     """An Automorphism is a pure function of its group and images, so the
-    differential test below builds each block automorphism once."""
+    differential test below walks each block automorphism once."""
 
     built = {}
 
@@ -780,33 +824,54 @@ class _BuiltOnceAutomorphism(Automorphism):
             self.__dict__.update(state)
 
 
+def walked_block_automorphism(K, k_a, sig):
+    """The former block automorphism, kept as the reference: generator
+    images moved from block w to block sig[w], tabulated by the checked
+    walk of the Cayley graph of K."""
+    gens = K.generators()
+    return _BuiltOnceAutomorphism(
+        K, [gens[v * k_a + i] for v in sig for i in range(k_a)])
+
+
 @pytest.mark.parametrize("a_factors", [[1], [2], [3], [2, 2]], ids=str)
 def test_wreath_walks_refuse_exactly_the_former_action_checks(a_factors,
                                                               monkeypatch):
     # every action tuple for H in six groups and |Omega| = 2..4: 1,360 per A.
     # regular_rep cannot refuse (it is built from G's own product); stubbing
-    # it and building each block automorphism once keeps this to seconds
+    # it keeps this to seconds.  The block automorphisms, tabulated without
+    # a walk, must equal the walk-built ones, in every accepted build
     from ostar import groups
 
-    monkeypatch.setattr(groups, "Automorphism", _BuiltOnceAutomorphism)
     monkeypatch.setattr(groups, "regular_rep", lambda G: None)
     A = AbelianGroup(a_factors)
+    k_a = len(a_factors)
     cases = accepted = 0
+    blocks = {}
     for h_factors in ([2], [3], [4], [2, 2], [2, 1], [6]):
         H = AbelianGroup(h_factors)
         for om in (2, 3, 4):
+            K = AbelianGroup(A.factors * om)
             perms = list(permutations(range(om)))
             for action in product(perms, repeat=len(h_factors)):
                 spec = WreathSpec(A, H, om, action)
                 cases += 1
+                for sig in action:
+                    if sig not in blocks:
+                        direct = groups._block_automorphism(K, k_a, sig)
+                        walked = walked_block_automorphism(K, k_a, sig)
+                        assert direct.gen_images == walked.gen_images, sig
+                        assert direct._map == walked._map, sig
+                        blocks[sig] = walked
                 try:
-                    build_wreath(spec)
+                    G = build_wreath(spec)
                 except ValueError as exc:
                     assert str(exc) == (
                         "h_action does not define an action of H on Omega")
                     assert not former_wreath_checks(spec), spec
                 else:
                     assert former_wreath_checks(spec), spec
+                    assert [aut._map for aut in G.phi.images] == [
+                        blocks[sig]._map for sig in action], spec
                     accepted += 1
     assert cases == 1360
     assert 0 < accepted < cases

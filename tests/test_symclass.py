@@ -140,6 +140,33 @@ def reference_coset_transversal(alpha, G, rep):
     return reps
 
 
+def reference_coset_sums(chi, G, stab):
+    """The former coset_sums, kept as the reference: a dict from each
+    element g to the sum of chi(g h) over h in stab, one left coset at a
+    time by tuple products."""
+    sums = {}
+    for g in G.elements():
+        if g not in sums:
+            coset = [G.mul(g, h) for h in stab]
+            acc = sum(map(chi.value, coset), CycloNum.zero())
+            sums.update(dict.fromkeys(coset, acc))
+    return sums
+
+
+def reference_gram_entries(alpha, chi, G, rep):
+    """The former gram's coset representatives and entries, kept as the
+    reference: entry (i, j) is the coset sum at r_j r_i^-1 by tuple
+    products."""
+    sums = reference_coset_sums(chi, G, reference_stabilizer(alpha, G, rep))
+    reps = reference_coset_transversal(alpha, G, rep)
+    scale = Fraction(chi.degree, G.order)
+    rows = tuple(
+        tuple(sums[G.mul(rj, ri_inv)] * scale for rj in reps)
+        for ri_inv in map(G.inv, reps)
+    )
+    return tuple(reps), rows
+
+
 def action_cases():
     """(label, G, rep): the table suite's natural reps and the regular reps
     of order <= 12, each padded by 0, 1 and 2 fixed points."""
@@ -353,11 +380,52 @@ def test_coset_sums_match_stabilizer_loop():
                         acc = CycloNum.zero()
                         for h in stab:
                             acc = acc + chi.value(G.mul(g, h))
-                        got = sums[g]
+                        got = sums[G.code[g]]
                         assert got == acc and got.conductor == acc.conductor, (
                             label, n, stab, g)
                         checked += 1
     assert checked > 0
+
+
+def test_inner_product_and_gram_match_tuple_references():
+    # inner_product and gram read element codes; the former tuple loops
+    # are the reference (coset_sums itself is pinned above)
+    grams = 0
+    for label, G, rep in coset_sum_cases():
+        chars = character_table(G).chars
+        for n in (2, 3):
+            by_stab = {}
+            for r in orbit_scan(G, rep, chars[0], rep.degree, n):
+                by_stab.setdefault(r.stabilizer, r.rep)
+            for stab, alpha in by_stab.items():
+                for chi in chars:
+                    ref = reference_coset_sums(chi, G, stab)
+                    scale = Fraction(chi.degree, G.order)
+                    assert all(
+                        inner_product(alpha, g, chi, G, rep) == ref[g] * scale
+                        for g in G.elements()), (label, n, alpha)
+                    if ref[G.identity].is_zero():
+                        continue
+                    gm = gram(alpha, chi, G, rep)
+                    reps, rows = reference_gram_entries(alpha, chi, G, rep)
+                    assert gm.coset_reps == reps, (label, n, alpha)
+                    assert gm.entries == rows, (label, n, alpha)
+                    assert [[v.conductor for v in row] for row in gm.entries] == [
+                        [v.conductor for v in row] for row in rows], (label, n, alpha)
+                    grams += 1
+    assert grams > 0
+
+
+def test_gram_ranks_match_tuple_reference():
+    # the Gram ranks of every Delta-bar orbit of the README-sized groups,
+    # against the rank of the reference entries and s_alpha
+    for G in (dihedral(3), dihedral(5), group_pq(3, 7, 2)):
+        rep = G.natural_rep
+        for chi in character_table(G).chars:
+            for r in orbit_scan(G, rep, chi, rep.degree, 2):
+                if r.in_delta_bar:
+                    _, rows = reference_gram_entries(r.rep, chi, G, rep)
+                    assert gram(r.rep, chi, G, rep).rank() == cyclo_rank(rows) == r.s_alpha
 
 
 def orbit_scan_per_element(G, rep, chi, m, n):
