@@ -30,9 +30,8 @@ from itertools import product as iter_product
 from .cyclotomic import (
     CONDUCTOR_CAP,
     CycloNum,
+    _cyclotomic_root_mod,
     cyclo_csv,
-    cyclotomic_polynomial,
-    prime_factors,
     root_of_unity,
 )
 from .errors import ConsistencyError
@@ -351,26 +350,6 @@ def _unit_generators(E: int) -> list[int]:
     return gens
 
 
-def _cyclotomic_root_mod(E: int, bound: int):
-    """(p, w) with p = 1 (mod E), p > bound and Phi_E(w) = 0 (mod p), the
-    last checked directly, so that zeta_E -> w is a ring map Z[zeta_E] ->
-    Z/p; None if the search finds no root.  The search is deterministic: p
-    is the first prime that trial division (prime_factors) finds in the
-    progression (bound // E + 1) E + 1, stepping by E."""
-    p = (bound // E + 1) * E + 1
-    while prime_factors(p) != (p,):
-        p += E
-    phi = cyclotomic_polynomial(E)
-    for h in range(2, p):
-        w = pow(h, (p - 1) // E, p)
-        acc = 0
-        for c in reversed(phi):
-            acc = (acc * w + c) % p
-        if acc == 0:
-            return p, w
-    return None
-
-
 def _table_certified(chars, G: SemidirectGroup) -> bool:
     """True only if every check of validate_table passes, shown without its
     k^2 * #classes exact products (Dixon, Numer. Math. 1967).
@@ -426,10 +405,7 @@ def _table_certified(chars, G: SemidirectGroup) -> bool:
     bound = G.order + sum(
         size * max(l1[r[c]] for r in R) ** 2 for c, size in enumerate(sizes)
     )
-    found = _cyclotomic_root_mod(E, bound)
-    if found is None:
-        return False
-    p, w = found
+    p, w = _cyclotomic_root_mod(E, bound)
     powers = [1] * E
     for e in range(1, E):
         powers[e] = powers[e - 1] * w % p

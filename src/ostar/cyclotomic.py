@@ -10,7 +10,9 @@ pass.  Floating point never participates in any decision; ``evalf`` exists
 for oracles and reports only.
 
 Also home to the numerical-semigroup membership test behind the vanishing
-sums-of-roots-of-unity criterion.
+sums-of-roots-of-unity criterion, and to the search for a prime p = 1
+(mod N) with a root of Phi_N mod p, which the certified character-table
+validation and the certified Gram rank share.
 """
 
 from __future__ import annotations
@@ -108,6 +110,27 @@ def _reduce_mod_phi(vec, n):
                 vec[base + j] -= c * p
     del vec[deg:]
     return vec
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_root_mod(E: int, bound: int):
+    """(p, w) with p = 1 (mod E), p > bound and Phi_E(w) = 0 (mod p), the
+    last checked directly, so that zeta_E -> w is a ring map Z[zeta_E] ->
+    Z/p.  The search is deterministic: p is the first prime that trial
+    division (prime_factors) finds in the progression (bound // E + 1) E + 1,
+    stepping by E.  F_p^* is cyclic of order divisible by E, so some
+    h^((p-1)/E) has order E and is a root of Phi_E mod p."""
+    p = (bound // E + 1) * E + 1
+    while prime_factors(p) != (p,):
+        p += E
+    phi = cyclotomic_polynomial(E)
+    for h in range(2, p):
+        w = pow(h, (p - 1) // E, p)
+        acc = 0
+        for c in reversed(phi):
+            acc = (acc * w + c) % p
+        if acc == 0:
+            return p, w
 
 
 class CycloNum:

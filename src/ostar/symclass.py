@@ -12,6 +12,7 @@ and every report reproducible.
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import eq, getitem
 
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, _cyclotomic_root_mod
 from .errors import BudgetError, ConsistencyError
 from .groups import PermRep, SemidirectGroup, count_text, perm_cycle_count
 
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_INDEX_BUDGET = 10**7
+# cyclo_rank's primes are the first ones = 1 (mod N) past this floor
+_RANK_PRIME_FLOOR = 1 << 24
 
 
 def index_from_code(code: int, m: int, n: int):
@@ -404,35 +407,89 @@ def gram(alpha, chi, G, rep) -> GramMatrix:
 
 
 def cyclo_rank(rows) -> int:
-    """Exact rank over the cyclotomic field: Gaussian elimination with
-    explicit field inversion, no floating point anywhere."""
-    M = [list(r) for r in rows]
-    if not M:
+    """Exact rank over the cyclotomic field, certified from images modulo
+    prime ideals of Z[zeta_N]; no floating point, no sampling and no field
+    inverse.  Rows of unequal length are refused.
+
+    With N the lcm of the entries' conductors and D the lcm of their
+    denominators, D M has entries in Z[zeta_N].  For a prime p = 1 (mod N)
+    and w a root of Phi_N mod p, each unit k mod N gives a ring map
+    zeta_N -> w^k onto F_p; their kernels are the phi(N) prime ideals above
+    p, each of norm p.  r is the largest rank of an image over the ideals
+    tried so far, first those above the least such p past 2^24, then above
+    the next.  The loop stops when r = min(rows, cols) or when (prod p)^2 >
+    (prod of the r+1 largest B_i)^phi(N), with one p per ideal tried and
+    B_i = max(1, sum_j L1(D e_ij)^2), L1 the sum of the absolute
+    coefficients.
+
+    Proof that the rank is r.  A minor that vanishes over the field
+    vanishes in every image, so r <= rank.  Suppose rank > r: then some
+    (r+1)-minor x of D M is nonzero, and x lies in every ideal tried, since
+    no image has rank above r.  Distinct prime ideals are coprime, so the
+    product of their norms divides the norm N(x).  Every embedding sends a
+    root of unity to the unit circle, so each row of x's submatrix has
+    Euclidean length at most sqrt(B_i) there, and by Hadamard's inequality
+    0 < |N(x)| <= (prod of the r+1 largest B_i)^(phi/2).  That contradicts
+    the stopping test, so when the loop stops, rank = r.
+    """
+    M = [tuple(row) for row in rows]
+    ncols = len(M[0]) if M else 0
+    for i, row in enumerate(M):
+        if len(row) != ncols:
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {ncols}")
+    full = min(len(M), ncols)
+    if not full:
         return 0
-    nrows, ncols = len(M), len(M[0])
+    ids = {}
+    R = [[ids.setdefault((v.conductor, v.coeffs, v.den), len(ids)) for v in row]
+         for row in M]
+    N = math.lcm(*(n for n, _, _ in ids))
+    D = math.lcm(*(d for _, _, d in ids))
+    # D e at conductor N as sparse (exponent of zeta_N, integer coefficient)
+    terms = [
+        [(i * (N // n), c * (D // d)) for i, c in enumerate(coeffs) if c]
+        for n, coeffs, d in ids
+    ]
+    l1 = [sum(abs(c) for _, c in t) for t in terms]
+    B = sorted((max(1, sum(l1[a] ** 2 for a in row)) for row in R), reverse=True)
+    units = [k for k in range(N) if math.gcd(k, N) == 1]  # [0] when N = 1
+    r = 0
+    norms = 1
+    bound = _RANK_PRIME_FLOOR
+    while True:
+        p, w = _cyclotomic_root_mod(N, bound)
+        for k in units:
+            wk = pow(w, k, p)
+            powers = [1] * N
+            for e in range(1, N):
+                powers[e] = powers[e - 1] * wk % p
+            image = [sum(c * powers[e] for e, c in t) % p for t in terms]
+            r = max(r, _rank_mod_p([[image[a] for a in row] for row in R], p))
+            norms *= p
+            if r == full or norms**2 > math.prod(B[: r + 1]) ** len(units):
+                return r
+        bound = p
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of a matrix of residues mod p, by elimination."""
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if not M[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pivot_inv = M[rank][col].inv()
-        prow = M[rank]
-        for r in range(rank + 1, nrows):
-            c = M[r][col]
-            if c.is_zero():
-                continue
-            f = c * pivot_inv
-            M[r] = [
-                a if b.is_zero() else a - f * b for a, b in zip(M[r], prow)
-            ]
+    rows = [row for row in rows if any(row)]
+    while rows:
+        pivot = rows.pop()
+        j = next(j for j, a in enumerate(pivot) if a)
+        inv = pow(pivot[j], -1, p)
+        pivot = [a * inv % p for a in pivot]
         rank += 1
-        if rank == nrows:
-            break
+        kept = []
+        for row in rows:
+            c = row[j]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, pivot)]
+                if not any(row):
+                    continue
+            kept.append(row)
+        rows = kept
     return rank
 
 

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import pytest
 
-from ostar.cyclotomic import CycloNum, root_of_unity
+from ostar.cyclotomic import CycloNum, _cyclotomic_root_mod, root_of_unity
 from ostar.errors import BudgetError, ConsistencyError
 from ostar.groups import (
     AbelianGroup,
@@ -29,6 +29,7 @@ from ostar.groups import (
 from ostar.characters import character_table
 from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
+    _RANK_PRIME_FLOOR,
     OrbitRecord,
     _orbit_partition,
     act,
@@ -669,6 +670,161 @@ def test_cyclo_rank_small_cases():
     assert cyclo_rank([[one, z5], [z5, z5 * z5]]) == 1
     assert cyclo_rank([[one, z5], [z5.conj(), one]]) == 1
     assert cyclo_rank([[one, one, one]]) == 1
+
+
+def test_cyclo_rank_shapes():
+    one = CycloNum.from_rational(1)
+    zero = CycloNum.zero()
+    assert cyclo_rank([]) == 0
+    assert cyclo_rank([[]]) == 0
+    assert cyclo_rank(iter([[one, zero], [zero, one]])) == 2
+    assert cyclo_rank(row for row in [[one], [one]]) == 1
+    with pytest.raises(ValueError, match="row 1"):
+        cyclo_rank([[zero], [zero, one]])
+    with pytest.raises(ValueError, match="row 1"):
+        cyclo_rank([[one, one], [one]])
+    with pytest.raises(ValueError, match="row 2"):
+        cyclo_rank([[one], [one], []])
+
+
+def reference_cyclo_rank(rows) -> int:
+    """The former cyclo_rank, kept as the reference: Gaussian elimination
+    with explicit field inversion, no floating point anywhere."""
+    M = [list(r) for r in rows]
+    if not M:
+        return 0
+    nrows, ncols = len(M), len(M[0])
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if not M[r][col].is_zero():
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        pivot_inv = M[rank][col].inv()
+        prow = M[rank]
+        for r in range(rank + 1, nrows):
+            c = M[r][col]
+            if c.is_zero():
+                continue
+            f = c * pivot_inv
+            M[r] = [
+                a if b.is_zero() else a - f * b for a, b in zip(M[r], prow)
+            ]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def suite_gram_matrices():
+    """(label, entries): every distinct Gram matrix of the table suite's
+    natural reps at n = 2, 3 with n^m <= 20000 (a Gram matrix depends only
+    on the character and the stabilizer, so one orbit per stabilizer
+    stands for the others), then the Gram matrix of every Delta-bar orbit
+    of D10's natural rep at n = 2 and 3, as the bench's Gram jobs take
+    them."""
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        rep = G.natural_rep
+        for n in (2, 3):
+            if n**rep.degree > 20000:
+                continue
+            for chi in character_table(G).chars:
+                seen = set()
+                for r in orbit_scan(G, rep, chi, rep.degree, n):
+                    if r.in_delta_bar and r.stabilizer not in seen:
+                        seen.add(r.stabilizer)
+                        yield (name, n, r.rep), gram(r.rep, chi, G, rep).entries
+    D10 = dihedral(5)
+    rep = D10.natural_rep
+    for n in (2, 3):
+        for chi in character_table(D10).chars:
+            for r in orbit_scan(D10, rep, chi, 5, n):
+                if r.in_delta_bar:
+                    yield ("D10 bench", n, r.rep), gram(r.rep, chi, D10, rep).entries
+
+
+def random_cyclo(rng, conductor):
+    """A random element of Q(zeta_conductor): small numerators, some zero,
+    over a denominator in 1..4."""
+    coeffs = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(conductor)]
+    return CycloNum.from_coeffs(conductor, [Fraction(c, rng.randint(1, 4)) for c in coeffs])
+
+
+def random_low_rank_products(seed):
+    """(label, rows): products A B of random r x k and k x c matrices, so of
+    rank at most k; the entries of A are drawn at conductor a and those of
+    B at b, so the product lives at lcm(a, b).  Shapes include k = 0 (the
+    zero matrix), r = 0 and c = 0."""
+    rng = random.Random(seed)
+    conductors = [(a, a) for a in (1, 3, 4, 5, 7, 12, 21)]
+    conductors += [(3, 4), (3, 7), (4, 5), (1, 21), (12, 21)]
+    for a, b in conductors:
+        for _ in range(4):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            k = rng.randint(0, min(r, c))
+            A = [[random_cyclo(rng, a) for _ in range(k)] for _ in range(r)]
+            B = [[random_cyclo(rng, b) for _ in range(c)] for _ in range(k)]
+            rows = [
+                [sum((A[i][t] * B[t][j] for t in range(k)), CycloNum.zero())
+                 for j in range(c)]
+                for i in range(r)
+            ]
+            yield (a, b, r, k, c), rows
+    yield "empty", []
+    yield "no columns", [[], [], []]
+
+
+def test_cyclo_rank_matches_elimination_reference():
+    checked = 0
+    for label, rows in suite_gram_matrices():
+        assert cyclo_rank(rows) == reference_cyclo_rank(rows), label
+        checked += 1
+    assert checked > 500
+    ranks = set()
+    for seed in (1, 2):
+        for label, rows in random_low_rank_products(seed):
+            rank = cyclo_rank(rows)
+            assert rank == reference_cyclo_rank(rows), (seed, label)
+            ranks.add(rank)
+    assert {0, 1, 2, 3, 4} <= ranks
+
+
+def test_cyclo_rank_takes_no_field_inverse_or_product(monkeypatch):
+    D10 = dihedral(5)
+    rep = D10.natural_rep
+    chi = character_table(D10).chars[-1]
+    mats = [(r.s_alpha, gram(r.rep, chi, D10, rep).entries)
+            for r in orbit_scan(D10, rep, chi, 5, 3) if r.in_delta_bar]
+
+    def refuse(*args):
+        raise AssertionError("cyclo_rank took a CycloNum inverse or product")
+
+    monkeypatch.setattr(CycloNum, "inv", refuse)
+    monkeypatch.setattr(CycloNum, "__mul__", refuse)
+    monkeypatch.setattr(CycloNum, "__rmul__", refuse)
+    assert all(cyclo_rank(rows) == s for s, rows in mats)
+
+
+def test_cyclo_rank_certificate_looks_past_the_first_ideal_and_prime():
+    # p, w as cyclo_rank's first prime at conductor 5 gives them: the first
+    # ideal sends zeta_5 to w, and every ideal above p contains p
+    p, w = _cyclotomic_root_mod(5, _RANK_PRIME_FLOOR)
+    one = CycloNum.from_rational(1)
+    zero = CycloNum.zero()
+    z5 = root_of_unity(5, 1)
+    p5 = CycloNum.from_rational(p, 5)
+    assert cyclo_rank([[z5 - w]]) == 1
+    assert cyclo_rank([[p5]]) == 1
+    assert cyclo_rank([[z5 * p]]) == 1
+    assert cyclo_rank([[p5, zero], [zero, one]]) == 2
+    # conductor 1: one ideal per prime
+    p1, _ = _cyclotomic_root_mod(1, _RANK_PRIME_FLOOR)
+    assert cyclo_rank([[CycloNum.from_rational(p1)]]) == 1
 
 
 # -- generalized matrix function ------------------------------------------------------------
