@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .characters import character_table, validated_table, zero_set
+from .characters import character_table, validated_table
 from .cyclotomic import lam_leung_certifies_nonzero, prime_factors
 from .errors import BudgetError, ConsistencyError
 from .groups import (
@@ -275,20 +275,21 @@ def decide_subgroup_criterion(G, rep, chi, n,
         return Verdict(
             INCONCLUSIVE, SUBGROUP_CRITERION, {"budget_refused": str(exc)}
         )
-    zeros = zero_set(chi)
+    zero = [v.is_zero() for v in chi.values]
+    class_of, elems = G.class_of, G.elements()
     target = chi.degree**2
     # larger subgroups first: smaller index, stronger witness, deterministic
     for S in sorted(subs, key=lambda S: (-len(S), sorted(S))):
         if G.order >= len(S) * target:
             continue  # index not below chi(e)^2
-        if any(g in zeros for g in S):
+        if any(zero[class_of[c]] for c in S):
             continue
         return Verdict(
             NOT_ADMITS,
             SUBGROUP_CRITERION,
             {
                 "alpha": list(search.alpha),
-                "subgroup": [element_json(g) for g in sorted(S)],
+                "subgroup": [element_json(elems[c]) for c in sorted(S)],
                 "subgroup_order": len(S),
                 "index": G.order // len(S),
                 "chi_degree_squared": target,

@@ -7,11 +7,14 @@ and every other ordering are tuple order, which is the order of the
 mixed-radix integer encoding (code, element_code) of the coordinates, so
 results are reproducible bit for bit.
 
-The element code of g is its position in SemidirectGroup.elements().  The
-coset layer works on codes: G.code maps elements to codes, G.inv_code and
-G.class_of are arrays over codes, and G.col(y) is the column of right
-multiplication by y, built from the component tables when first asked for
-and cached; no product table is built.
+The element code of g is its position in SemidirectGroup.elements(), and
+codes are the one representation of elements inside the kernel: G.code maps
+elements to codes, G.inv_code and G.class_of are arrays over codes, and
+G.col(y) is the column of right multiplication by y, built from the
+component tables when first asked for and cached; no product table is
+built.  PermRep.perms, stabilizers and enumerate_subgroups hold codes, and
+G.elements()[c] recovers the element of code c.  (a, h) tuples are taken
+and given only at the boundary: G.mul, G.inv, PermRep.perm, class_index.
 
 Permutations are 0-based image tuples and compose left to right:
 (p * q)(x) = q(p(x)).  With that convention the right action on
@@ -187,13 +190,6 @@ class AbelianGroup:
         for x, n in zip(a, self.factors):
             c = c * n + x
         return c
-
-    def element_at(self, code: int):
-        out = []
-        for n in reversed(self.factors):
-            code, r = divmod(code, n)
-            out.append(r)
-        return tuple(reversed(out))
 
     def add(self, a, b):
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
@@ -378,30 +374,30 @@ class SemidirectGroup:
         return self._class_of
 
     def col(self, y: int):
+        """_column(y), built on first use and cached on the group."""
+        col = self._cols.get(y)
+        if col is None:
+            col = self._cols[y] = self._column(y)
+        return col
+
+    def _column(self, y: int):
         """Right multiplication by the element of code y as an array of
-        codes, col(y)[code(x)] = code(x y), built on first use and cached.
+        codes, col[code(x)] = code(x y); not cached.
 
         With y = (b, k), x = (a, h) has x y = (a + phi_h(b), h + k), so for
         each h the codes of x y over every a are one translation of A by
         phi_h(b), offset by the code of h + k: |H| action lookups and
         O(|G|) integer work, no group product."""
-        col = self._cols.get(y)
-        if col is None:
-            b, k = self.elements()[y]  # refuses groups above ELEMENT_CAP
-            H, hn = self.H, self.H.order
-            col = [0] * self.order
-            for j, h in enumerate(H.elements()):
-                t = H.code(H.add(h, k))
-                col[j::hn] = [
-                    c * hn + t for c in self.A.translation_codes(self.phi.apply(h, b))
-                ]
-            # 2-byte codes: ELEMENT_CAP is far below 2^16
-            col = self._cols[y] = array("H", col)
-        return col
-
-    def element_at(self, code: int):
-        ac, hc = divmod(code, self.H.order)
-        return (self.A.element_at(ac), self.H.element_at(hc))
+        b, k = self.elements()[y]  # refuses groups above ELEMENT_CAP
+        H, hn = self.H, self.H.order
+        col = [0] * self.order
+        for j, h in enumerate(H.elements()):
+            t = H.code(H.add(h, k))
+            col[j::hn] = [
+                c * hn + t for c in self.A.translation_codes(self.phi.apply(h, b))
+            ]
+        # 2-byte codes: ELEMENT_CAP is far below 2^16
+        return array("H", col)
 
     def mul(self, g1, g2):
         a1, h1 = g1
@@ -428,30 +424,30 @@ class SemidirectGroup:
     def conjugacy_classes(self):
         """Classes as sorted tuples, listed by minimal representative; the
         identity class comes first.  Each class is found as the orbit of its
-        minimal element under conjugation by the generators, which costs one
-        conjugation per element and generator."""
+        minimal element under conjugation by the generators, x -> s^-1 x s,
+        read on codes as inv[col_s[inv[col_s[x]]]]: four lookups per element
+        and generator, no group product."""
         if self._classes is None:
-            gens = [(self.inv(s), s) for s in self.generators()]
-            assigned = {}
+            inv = self.inv_code
+            cols = [self.col(self.element_code(s)) for s in self.generators()]
+            elems = self.elements()
+            class_of = [None] * self.order
             classes = []
-            for g in self.elements():
-                if g in assigned:
+            for g in range(self.order):
+                if class_of[g] is not None:
                     continue
-                cls = {g}
-                frontier = [g]
-                while frontier:
-                    x = frontier.pop()
-                    for si, s in gens:
-                        y = self.mul(self.mul(si, x), s)
-                        if y not in cls:
-                            cls.add(y)
-                            frontier.append(y)
-                cls = tuple(sorted(cls))
-                for x in cls:
-                    assigned[x] = len(classes)
-                classes.append(cls)
+                i = class_of[g] = len(classes)
+                cls = [g]
+                for x in cls:  # grows while it is walked
+                    for col in cols:
+                        y = inv[col[inv[col[x]]]]
+                        if class_of[y] is None:
+                            class_of[y] = i
+                            cls.append(y)
+                cls.sort()
+                classes.append(tuple(map(elems.__getitem__, cls)))
             self._classes = tuple(classes)
-            self._class_of = list(map(assigned.__getitem__, self.elements()))
+            self._class_of = class_of
         return self._classes
 
     def class_index(self, g) -> int:
@@ -471,11 +467,13 @@ class PermRep:
     """Permutation representation of a semidirect product, by 0-based image
     permutations of the standard generators of A and of H.
 
-    Construction tabulates perm(x s) = perm(x) perm(s) by one checked walk
-    of the Cayley graph of G over its standard generators, so the images
-    are refused (ValueError) exactly when they do not induce a
-    homomorphism.  Groups above ELEMENT_CAP are refused with BudgetError,
-    as by every element enumeration.
+    perms[c] is the permutation of the element of code c.  Construction
+    tabulates perms[code(x s)] = perms[code(x)] perm(s) by one checked walk
+    of the Cayley graph of G over its standard generators, read on codes
+    through the generators' columns, so the images are refused (ValueError)
+    exactly when they do not induce a homomorphism.  Groups above
+    ELEMENT_CAP are refused with BudgetError, as by every element
+    enumeration.
     """
 
     def __init__(self, group, a_images, h_images, kind="explicit", degree=None):
@@ -498,28 +496,24 @@ class PermRep:
             raise ValueError("wrong number of A-generator images")
         if len(self.h_images) != len(group.H.factors):
             raise ValueError("wrong number of H-generator images")
-        self._faithful = None
         group.elements()  # refuses groups above ELEMENT_CAP, like any enumeration
-        self._perm_of = _tabulate(
-            group.identity, group.mul,
-            tuple(zip(group.generators(), self.a_images + self.h_images)),
+        # uncached columns: building a representation caches none on G
+        cols = [group._column(group.element_code(s)) for s in group.generators()]
+        perm_of = _tabulate(
+            0, lambda x, col: col[x],
+            tuple(zip(cols, self.a_images + self.h_images)),
             tuple(range(self.degree)), pmul,
         )
-        if self._perm_of is None:
+        if perm_of is None:
             raise ValueError("generator images do not induce a homomorphism")
+        self.perms = list(map(perm_of.__getitem__, range(group.order)))
 
     def perm(self, g):
-        return self._perm_of[g]
+        return self.perms[self.group.code[g]]
 
     def is_faithful(self) -> bool:
-        if self._faithful is None:
-            ident = tuple(range(self.degree))
-            self._faithful = not any(
-                self.perm(g) == ident
-                for g in self.group.elements()
-                if g != self.group.identity
-            )
-        return self._faithful
+        # code 0 is the identity
+        return tuple(range(self.degree)) not in self.perms[1:]
 
     def extended(self, m: int) -> "PermRep":
         """The same representation padded with fixed points up to degree m."""
@@ -533,22 +527,16 @@ class PermRep:
             tuple(p + pad for p in self.a_images),
             tuple(p + pad for p in self.h_images),
             kind=self.kind,
+            degree=m,
         )
 
 
 def regular_rep(G: SemidirectGroup) -> PermRep:
     """Right-translation representation on G's own elements in code order;
-    faithful of degree |G|."""
-    elems = G.elements()
-    index = {g: i for i, g in enumerate(elems)}
-
-    def image(gen):
-        return tuple(index[G.mul(g, gen)] for g in elems)
-
-    e_a, e_h = G.A.identity, G.H.identity
-    a_images = tuple(image((ga, e_h)) for ga in G.A.generators())
-    h_images = tuple(image((e_a, gh)) for gh in G.H.generators())
-    return PermRep(G, a_images, h_images, kind="regular", degree=G.order)
+    faithful of degree |G|.  The image of a generator is its column."""
+    images = [tuple(G._column(G.element_code(s))) for s in G.generators()]
+    k = len(G.A.factors)
+    return PermRep(G, images[:k], images[k:], kind="regular", degree=G.order)
 
 
 # -- named constructions --------------------------------------------------------
@@ -728,14 +716,16 @@ def build_wreath(spec: WreathSpec) -> SemidirectGroup:
 
 
 def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
-    """The complete subgroup lattice as frozensets of elements, computed by
+    """The complete subgroup lattice as frozensets of element codes
+    (G.elements()[c] recovers the element of code c), computed by
     prime-index extension from {e}: for a subgroup S and an element g that
     normalizes S with g^k in S for a least prime k, T = <S, g> is the union
     of the cosets S g^i, i < k.  A x|_phi H is metabelian, hence solvable,
     so every subgroup U != {e} has a normal subgroup S of prime index, and
     U = <S, g> for every g in U outside S: all subgroups are found.  Every
     element of T outside S gives T again, and whether g qualifies depends
-    only on the coset S g, so both are skipped once seen.
+    only on the coset S g, so both are skipped once seen.  Subgroups are
+    sorted by order, then by sorted codes, which is sorted tuple order.
 
     Refuses loudly (never answers partially) when |G| exceeds the bound,
     on every call; below it the lattice is computed once per group and
@@ -752,40 +742,43 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
 
 def _subgroup_lattice(G: SemidirectGroup):
     """enumerate_subgroups without the bound and the cache; every subgroup
-    found is re-checked for closure under products and inverses."""
-    gens_of = {frozenset((G.identity,)): ()}
+    found is re-checked for closure under products and inverses.  The
+    product x y is read as col(y)[x] and the inverse as inv_code[x]."""
+    col, inv = G.col, G.inv_code
+    gens_of = {frozenset((0,)): ()}  # code 0 is the identity
     queue = list(gens_of)
     for S in queue:  # grows while it is walked
         gens = gens_of[S]
         covered = set(S)
-        for g in G.elements():
+        for g in range(G.order):
             if g in covered:
                 continue
-            covered.update(G.mul(s, g) for s in S)
-            gi = G.inv(g)
-            if any(G.mul(G.mul(g, x), gi) not in S for x in gens):
+            cg = col(g)
+            covered.update(cg[s] for s in S)
+            cgi = col(inv[g])
+            if any(cgi[col(x)[g]] not in S for x in gens):
                 continue
             k, power = 1, g
             while power not in S:
-                power = G.mul(power, g)
+                power = cg[power]
                 k += 1
             if prime_factors(k) != (k,):
                 continue
             T = set(S)
             power = g
             for _ in range(1, k):
-                T.update(G.mul(s, power) for s in S)
-                power = G.mul(power, g)
+                cp = col(power)
+                T.update(cp[s] for s in S)
+                power = cg[power]
             covered |= T
             T = frozenset(T)
             if T not in gens_of:
                 gens_of[T] = gens + (g,)
                 queue.append(T)
     for S in gens_of:
-        for x in S:
-            if G.inv(x) not in S:
-                raise AssertionError("subgroup closure failed under inverses")
-            for y in S:
-                if G.mul(x, y) not in S:
-                    raise AssertionError("subgroup closure failed under products")
+        if not S.issuperset(map(inv.__getitem__, S)):
+            raise AssertionError("subgroup closure failed under inverses")
+        for y in S:
+            if not S.issuperset(map(col(y).__getitem__, S)):
+                raise AssertionError("subgroup closure failed under products")
     return tuple(sorted(gens_of, key=lambda S: (len(S), sorted(S))))

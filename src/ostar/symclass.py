@@ -86,14 +86,15 @@ def act(alpha, g, rep: PermRep):
 
 
 def stabilizer(alpha, G: SemidirectGroup, rep: PermRep):
-    """G_alpha as a tuple in element-code order: g fixes alpha iff
-    alpha[sigma(j)] == alpha[j] for every j, tested on sigma = rep.perm(g)
-    without building the image."""
+    """G_alpha as the ascending tuple of its element codes (G.elements()[c]
+    recovers the element): g fixes alpha iff alpha[sigma(j)] == alpha[j]
+    for every j, tested on sigma = rep.perms[c] without building the
+    image."""
     _require_same_group(G, rep)
     _require_degree_length(alpha, rep)
     at = alpha.__getitem__
     return tuple(
-        g for g in G.elements() if all(map(eq, map(at, rep.perm(g)), alpha))
+        c for c, p in enumerate(rep.perms) if all(map(eq, map(at, p), alpha))
     )
 
 
@@ -104,9 +105,10 @@ def cycle_count(g, rep: PermRep) -> int:
 
 @dataclass(slots=True)
 class OrbitRecord:
-    """One orbit of Gamma_{m,n}: lex-min representative, size, stabilizer,
-    the stabilizer character sum, whether the orbit survives into
-    Delta-bar, and the orbital dimension s_alpha."""
+    """One orbit of Gamma_{m,n}: lex-min representative, size, stabilizer
+    (ascending element codes; G.elements()[c] recovers the element), the
+    stabilizer character sum, whether the orbit survives into Delta-bar,
+    and the orbital dimension s_alpha."""
 
     rep: tuple
     orbit_size: int
@@ -150,18 +152,17 @@ def _walk_orbits(G, rep, m, n, cache):
     cache[(m, n)] only when the walk ends, so a caller may stop early.
 
     Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
-    rep.perm(g), so the code of alpha.g is the sum over j of
+    rep.perms[code(g)], so the code of alpha.g is the sum over j of
     (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
-    term for the letter a over every g, packed in element order as
+    term for the letter a over every g, packed in element-code order as
     fixed-width fields of one int, so the image codes of alpha under all of
     G are one sum of m ints.  No field carries into the next, since each
     sums to an image code below n^m.  An orbit is read off that sum: its
-    distinct codes, and its stabilizer as the elements whose image code is
-    alpha's own.  The next representative is the next unvisited code.
+    distinct codes, and its stabilizer as the element codes whose image
+    code is alpha's own.  The next representative is the next unvisited code.
     """
     total = n**m
-    elems = G.elements()
-    perms = [rep.perm(g) for g in elems]
+    perms = rep.perms
     fmt = "I" if total <= 1 << 32 else "Q"
     width = struct.calcsize(fmt)
 
@@ -187,7 +188,7 @@ def _walk_orbits(G, rep, m, n, cache):
         images = sum(map(getitem, col, alpha))
         codes = memoryview(images.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
         orbit = set(codes)
-        stab = tuple(compress(elems, map(code.__eq__, codes)))
+        stab = tuple(compress(range(G.order), map(code.__eq__, codes)))
         for c in orbit:
             visited[c] = 1
         if len(orbit) * len(stab) != G.order:
@@ -215,7 +216,7 @@ def _class_profiles(G, rep, m, n, parts):
     cached = rep._orbit_cache.get(key)
     if cached is not None:
         return cached
-    class_index = G.class_index
+    class_of = G.class_of
     by_stab = {}
     index = {}
     ids = []
@@ -224,7 +225,7 @@ def _class_profiles(G, rep, m, n, parts):
         if i is None:
             counts = {}
             for h in stab:
-                c = class_index(h)
+                c = class_of[h]
                 counts[c] = counts.get(c, 0) + 1
             profile = tuple(sorted(counts.items()))
             i = by_stab[stab] = index.setdefault(profile, len(index))
@@ -303,18 +304,19 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
 
 def coset_sums(chi, G, stab) -> list:
     """The list, indexed by element code, whose entry at code(x) is the sum
-    of chi(x h) over h in the subgroup stab.  The sum depends only on the
-    left coset x stab, whose codes col(h)[code(x)] are read from the
-    stabilizer's columns, and on the classes that coset meets, so it is
-    summed from the class values once per distinct multiset of classes.
-    No group product is taken."""
+    of chi(x h) over h in the subgroup stab, given as element codes (as
+    stabilizer returns it; G.elements()[c] recovers the element).  The sum
+    depends only on the left coset x stab, whose codes col(h)[code(x)] are
+    read from the stabilizer's columns, and on the classes that coset
+    meets, so it is summed from the class values once per distinct
+    multiset of classes.  No group product is taken."""
     _require_same_group(G, chi=chi)
     return _coset_sums(chi.values, G, stab)
 
 
 def _coset_sums(values, G, stab):
     """coset_sums of the class function with the given class values."""
-    cols = _columns(G, stab)
+    cols = [G.col(h) for h in stab]
     class_of = G.class_of
     by_classes = {}
     sums = [None] * G.order
@@ -331,17 +333,12 @@ def _coset_sums(values, G, stab):
     return sums
 
 
-def _columns(G, stab):
-    """The right-multiplication columns of the elements of stab."""
-    code = G.code
-    return [G.col(code[h]) for h in stab]
-
-
 def _right_coset_reps(G, stab):
-    """Codes of the least element of each right coset stab g, ascending.
-    The coset of g is the set of inverses of the left coset g^-1 stab, so
-    it is marked through the stabilizer's columns and the inverse array."""
-    cols = _columns(G, stab)
+    """Codes of the least element of each right coset stab g, ascending,
+    for stab given as element codes.  The coset of g is the set of inverses
+    of the left coset g^-1 stab, so it is marked through the stabilizer's
+    columns and the inverse array."""
+    cols = [G.col(h) for h in stab]
     inv = G.inv_code
     marked = bytearray(G.order)
     reps = []
@@ -534,8 +531,7 @@ def generalized_matrix_function(M, chi, G, rep) -> CycloNum:
         raise ValueError(f"expected an {m} x {m} matrix")
     Mc = [[CycloNum.coerce(x) for x in row] for row in M]
     total = CycloNum.zero()
-    for g in G.elements():
-        p = rep.perm(g)
+    for p, c in zip(rep.perms, G.class_of):
         prod = None
         for i in range(m):
             e = Mc[i][p[i]]
@@ -544,7 +540,7 @@ def generalized_matrix_function(M, chi, G, rep) -> CycloNum:
                 break
             prod = e if prod is None else prod * e
         if prod is not None:
-            total = total + chi.value(g) * prod
+            total = total + chi.values[c] * prod
     return total
 
 

@@ -60,7 +60,11 @@ from ostar.symclass import (
 )
 from test_acceptance import TABLE_SUITE, group as suite_group
 from test_random_products import sample_groups
-from test_symclass import reference_coset_sums, reference_coset_transversal
+from test_symclass import (
+    elements_of,
+    reference_coset_sums,
+    reference_coset_transversal,
+)
 
 
 def trivial_group():
@@ -561,7 +565,7 @@ def per_orbit_brute_force_verify(G, rep, chi, n,
                 "clique": None,
                 "budget_exceeded": True,
             }
-        sums = reference_coset_sums(chi, G, record.stabilizer)
+        sums = reference_coset_sums(chi, G, elements_of(G, record.stabilizer))
         nvert = len(reps)
         invs = [G.inv(r) for r in reps]
         adj = [[False] * nvert for _ in range(nvert)]

@@ -15,6 +15,7 @@ import pytest
 
 from ostar import decide
 from ostar.characters import character_table, dual_orbits, zero_set
+from ostar.cyclotomic import prime_factors
 from ostar.errors import BudgetError
 from ostar.groups import (
     AbelianGroup,
@@ -64,7 +65,6 @@ def test_abelian_enumeration_and_codes():
     assert len(set(els)) == 6
     for i, a in enumerate(els):
         assert A.code(a) == i
-        assert A.element_at(i) == a
     assert A.exponent == 6
     assert A.order_of((1, 2)) == 6
     assert A.order_of((0, 0)) == 1
@@ -187,7 +187,6 @@ def test_element_codes_are_mixed_radix():
     G = dihedral(3)
     for i, g in enumerate(G.elements()):
         assert G.element_code(g) == i
-        assert G.element_at(i) == g
 
 
 # -- wreath products ---------------------------------------------------------------
@@ -216,8 +215,6 @@ def test_wreath_c3_c2():
     A = AbelianGroup([3])
     G = build_wreath(WreathSpec.regular(A, AbelianGroup([2])))
     assert G.order == 18
-    from ostar.cyclotomic import prime_factors
-
     assert prime_factors(G.A.order) == prime_factors(A.order) == (3,)
 
 
@@ -375,7 +372,41 @@ def test_regular_rep_trivial_group():
     assert rep.perm(T.identity) == (0,)
 
 
+def test_is_faithful_matches_a_kernel_scan():
+    # faithful iff only the identity acts trivially; the first two reps are
+    # unfaithful, with kernel element codes 1 (H acts trivially) and 6
+    # (D12 on 3 points through S_3, kernel {e, r^3})
+    C3, C2 = AbelianGroup([3]), AbelianGroup([2])
+    G = SemidirectGroup(C3, C2, ActionHom.trivial(C2, C3))
+    d12 = dihedral(6)
+    reps = [PermRep(G, ((1, 2, 0),), ((0, 1, 2),)),
+            PermRep(d12, ((1, 2, 0),), ((0, 2, 1),)),
+            regular_rep(G), d12.natural_rep]
+    reps += [suite_group(name).natural_rep for name in TABLE_SUITE]
+    for rep in reps:
+        ident = tuple(range(rep.degree))
+        kernel = [g for g in rep.group.elements() if rep.perm(g) == ident]
+        assert rep.is_faithful() == (kernel == [rep.group.identity]), rep.group
+    assert not reps[0].is_faithful() and not reps[1].is_faithful()
+
+
+def test_extended_keeps_the_degree_without_generator_images():
+    # factors AbelianGroup([]) give a group with no generators, so the
+    # padded representation has no generator images to read a degree from
+    E = AbelianGroup([])
+    G = SemidirectGroup(E, E, ActionHom.trivial(E, E))
+    rep = regular_rep(G).extended(3)
+    assert rep.degree == 3
+    assert rep.perm(G.identity) == (0, 1, 2)
+
+
 # -- subgroups -------------------------------------------------------------------------
+
+
+def as_elements(G, S):
+    """A subgroup given by element codes as the frozenset of its elements."""
+    elems = G.elements()
+    return frozenset(elems[c] for c in S)
 
 
 def brute_subgroups(G):
@@ -405,7 +436,7 @@ def test_enumerate_subgroups_trivial():
     ids=["D6", "C2xC2"],
 )
 def test_enumerate_subgroups_against_brute_oracle(G, count):
-    subs = set(enumerate_subgroups(G))
+    subs = {as_elements(G, S) for S in enumerate_subgroups(G)}
     assert subs == brute_subgroups(G)
     assert len(subs) == count
 
@@ -419,7 +450,7 @@ def test_d6_subgroup_orders():
 def test_subgroups_satisfy_lagrange_and_identity():
     G = dihedral(5)
     for S in enumerate_subgroups(G):
-        assert G.identity in S
+        assert G.identity in as_elements(G, S)
         assert G.order % len(S) == 0
 
 
@@ -469,7 +500,8 @@ def pairwise_join_subgroups(G):
 @pytest.mark.parametrize("name", TABLE_SUITE)
 def test_enumerate_subgroups_matches_pairwise_join(name):
     G = suite_group(name)
-    assert enumerate_subgroups(G) == pairwise_join_subgroups(G)
+    subs = tuple(as_elements(G, S) for S in enumerate_subgroups(G))
+    assert subs == pairwise_join_subgroups(G)
 
 
 @pytest.mark.parametrize("s", [3, 4, 6, 9, 12, 45])
@@ -486,6 +518,17 @@ def test_enumerate_subgroups_c2_wr_c4_fast():
     elapsed = time.perf_counter() - start
     assert len(subs) == 129
     assert elapsed < 2.0, f"C2 wr C4 subgroup lattice took {elapsed:.2f} s"
+
+
+def test_enumerate_subgroups_c2sq_wr_c3_fast():
+    # order 192 with 3,010 subgroups, the largest lattice the tests enumerate
+    G = build_wreath(WreathSpec.regular(AbelianGroup([2, 2]), AbelianGroup([3])))
+    assert G.order == 192
+    start = time.perf_counter()
+    subs = enumerate_subgroups(G)
+    elapsed = time.perf_counter() - start
+    assert len(subs) == 3010
+    assert elapsed < 2.0, f"C2^2 wr C3 subgroup lattice took {elapsed:.2f} s"
 
 
 def test_dihedral_100_subgroup_count_is_tau_plus_sigma():
@@ -635,6 +678,61 @@ TEST_WREATHS = (
 )
 
 
+def reference_subgroup_lattice(G):
+    """The former _subgroup_lattice on tuple products, kept verbatim as the
+    reference: the same prime-index extension and closure re-check, with
+    subgroups as frozensets of elements."""
+    gens_of = {frozenset((G.identity,)): ()}
+    queue = list(gens_of)
+    for S in queue:  # grows while it is walked
+        gens = gens_of[S]
+        covered = set(S)
+        for g in G.elements():
+            if g in covered:
+                continue
+            covered.update(G.mul(s, g) for s in S)
+            gi = G.inv(g)
+            if any(G.mul(G.mul(g, x), gi) not in S for x in gens):
+                continue
+            k, power = 1, g
+            while power not in S:
+                power = G.mul(power, g)
+                k += 1
+            if prime_factors(k) != (k,):
+                continue
+            T = set(S)
+            power = g
+            for _ in range(1, k):
+                T.update(G.mul(s, power) for s in S)
+                power = G.mul(power, g)
+            covered |= T
+            T = frozenset(T)
+            if T not in gens_of:
+                gens_of[T] = gens + (g,)
+                queue.append(T)
+    for S in gens_of:
+        for x in S:
+            if G.inv(x) not in S:
+                raise AssertionError("subgroup closure failed under inverses")
+            for y in S:
+                if G.mul(x, y) not in S:
+                    raise AssertionError("subgroup closure failed under products")
+    return tuple(sorted(gens_of, key=lambda S: (len(S), sorted(S))))
+
+
+@pytest.mark.parametrize("name", [*DIFFERENTIAL_SUITE, "wreaths"])
+def test_subgroup_lattice_matches_tuple_reference(name):
+    # the lattice on codes, mapped back to elements, is the tuple lattice
+    # in the same order
+    if name == "wreaths":
+        groups = [build_wreath(spec) for spec in TEST_WREATHS]
+    else:
+        groups = differential_groups(name)
+    for G in groups:
+        subs = tuple(as_elements(G, S) for S in enumerate_subgroups(G))
+        assert subs == reference_subgroup_lattice(G)
+
+
 @pytest.mark.parametrize("name", [*DIFFERENTIAL_SUITE, "wreaths"])
 def test_action_tables_match_generator_power_words(name):
     if name == "wreaths":
@@ -662,7 +760,8 @@ def test_tuple_order_reproduces_code_order(name, monkeypatch):
     for cls in G.conjugacy_classes():
         assert cls == tuple(sorted(cls, key=code))
     subs = enumerate_subgroups(G)
-    assert subs == tuple(sorted(subs, key=lambda S: (len(S), sorted(map(code, S)))))
+    elem_subs = [as_elements(G, S) for S in subs]
+    assert elem_subs == sorted(elem_subs, key=lambda S: (len(S), sorted(map(code, S))))
     for orbit in dual_orbits(G.A, G.H, G.phi):
         exps = [x.exponents for x in orbit.members]
         assert exps == sorted(exps, key=G.A.code)
@@ -671,7 +770,7 @@ def test_tuple_order_reproduces_code_order(name, monkeypatch):
     # then by sorted codes, of index below chi(e)^2 that avoids the zero set
     monkeypatch.setattr(decide, "enumerate_subgroups", lambda G, bound: subs)
     rep = regular_rep(G)
-    by_codes = sorted(subs, key=lambda S: (-len(S), sorted(map(code, S))))
+    by_codes = sorted(elem_subs, key=lambda S: (-len(S), sorted(map(code, S))))
     for chi in character_table(G).chars:
         expected = None
         if chi.degree > 1:

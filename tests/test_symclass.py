@@ -130,6 +130,12 @@ def reference_stabilizer(alpha, G, rep):
     return tuple(g for g in G.elements() if reference_act(alpha, g, rep) == alpha)
 
 
+def elements_of(G, codes):
+    """The elements with the given codes, in the same order."""
+    elems = G.elements()
+    return tuple(elems[c] for c in codes)
+
+
 def reference_coset_transversal(alpha, G, rep):
     seen = set()
     reps = []
@@ -198,8 +204,8 @@ def test_action_matches_inverse_table_reference(n):
         for alpha in alphas:
             for g in G.elements():
                 assert act(alpha, g, rep) == reference_act(alpha, g, rep), (label, alpha, g)
-            assert stabilizer(alpha, G, rep) == reference_stabilizer(alpha, G, rep), (
-                label, alpha)
+            assert elements_of(G, stabilizer(alpha, G, rep)) == reference_stabilizer(
+                alpha, G, rep), (label, alpha)
             assert coset_transversal(alpha, G, rep) == reference_coset_transversal(
                 alpha, G, rep), (label, alpha)
 
@@ -379,7 +385,7 @@ def test_coset_sums_match_stabilizer_loop():
                     assert len(sums) == G.order, (label, n, stab)
                     for g in G.elements():
                         acc = CycloNum.zero()
-                        for h in stab:
+                        for h in elements_of(G, stab):
                             acc = acc + chi.value(G.mul(g, h))
                         got = sums[G.code[g]]
                         assert got == acc and got.conductor == acc.conductor, (
@@ -400,7 +406,7 @@ def test_inner_product_and_gram_match_tuple_references():
                 by_stab.setdefault(r.stabilizer, r.rep)
             for stab, alpha in by_stab.items():
                 for chi in chars:
-                    ref = reference_coset_sums(chi, G, stab)
+                    ref = reference_coset_sums(chi, G, elements_of(G, stab))
                     scale = Fraction(chi.degree, G.order)
                     assert all(
                         inner_product(alpha, g, chi, G, rep) == ref[g] * scale
@@ -435,7 +441,7 @@ def orbit_scan_per_element(G, rep, chi, m, n):
     records = []
     for alpha, size, stab in _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET):
         s = CycloNum.zero()
-        for h in stab:
+        for h in elements_of(G, stab):
             s = s + chi.value(h)
         q = (s * Fraction(chi.degree, len(stab))).as_fraction()
         records.append(OrbitRecord(alpha, size, stab, s, not s.is_zero(), int(q)))
@@ -649,7 +655,7 @@ def test_coset_transversal_counts():
     stab = stabilizer((1, 1, 2), D6, D6_REP)
     seen = set()
     for t in reps:
-        coset = frozenset(D6.mul(h, t) for h in stab)
+        coset = frozenset(D6.mul(h, t) for h in elements_of(D6, stab))
         assert min(coset, key=D6.element_code) == t  # lex-min representative
         seen.add(coset)
     assert len(seen) == 3
@@ -870,13 +876,13 @@ def test_orbit_scan_reuses_class_profiles_across_characters(monkeypatch):
     rep = G.natural_rep
     chars = character_table(G).chars
     calls = []
-    class_index = G.class_index
 
-    def counting(g):
-        calls.append(g)
-        return class_index(g)
+    class CountingReads(list):
+        def __getitem__(self, c):
+            calls.append(c)
+            return list.__getitem__(self, c)
 
-    monkeypatch.setattr(G, "class_index", counting)
+    monkeypatch.setattr(G, "_class_of", CountingReads(G.class_of))
     first = orbit_scan(G, rep, chars[0], rep.degree, 3)
     assert calls
     calls.clear()
@@ -900,7 +906,7 @@ def first_orbit_failure(G, rep, chi, m, n):
     for alpha, size, stab in _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET):
         s = CycloNum.zero()
         for h in stab:
-            s = s + chi.values[G.class_index(h)]
+            s = s + chi.values[G.class_of[h]]
         try:
             q = (s * Fraction(chi.degree, len(stab))).as_fraction()
         except ValueError:
@@ -973,7 +979,7 @@ FOREIGN_CALLS = {
     "stabilizer-rep": lambda G, rep, chi: stabilizer(FOREIGN_ALPHA, G, rep),
     "coset_transversal-rep":
         lambda G, rep, chi: coset_transversal(FOREIGN_ALPHA, G, rep),
-    "coset_sums-chi": lambda G, rep, chi: coset_sums(chi, G, (G.identity,)),
+    "coset_sums-chi": lambda G, rep, chi: coset_sums(chi, G, (0,)),
     "inner_product-rep": lambda G, rep, chi: inner_product(
         FOREIGN_ALPHA, G.identity, chi, G, rep),
     "inner_product-chi": lambda G, rep, chi: inner_product(
@@ -1064,7 +1070,8 @@ def test_orbit_partition_matches_tuple_reference(n):
         m = rep.degree
         if n**m > 20000:
             continue
-        got = _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET)
+        got = [(alpha, size, elements_of(G, stab)) for alpha, size, stab
+               in _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET)]
         assert got == tuple_orbit_partition(G, rep, m, n), (label, n)
         checked += 1
     assert checked >= 40
@@ -1075,11 +1082,12 @@ class StandInRep:
 
     def __init__(self, rep, g, perm):
         self.degree = rep.degree
-        self._perms = {h: rep.perm(h) for h in rep.group.elements()}
-        self._perms[g] = perm
+        self.group = rep.group
+        self.perms = list(rep.perms)
+        self.perms[rep.group.code[g]] = perm
 
     def perm(self, g):
-        return self._perms[g]
+        return self.perms[self.group.code[g]]
 
 
 def test_orbit_partition_corrupted_permutation_fails_orbit_stabilizer():
