@@ -529,15 +529,21 @@ def export_chartable_csv(G: SemidirectGroup, chars, stream) -> None:
     """Rows = characters, two columns per conjugacy class: the exact
     coefficient list and a float approximation (the latter marked with a
     trailing ~)."""
-    reps = [cls[0] for cls in G.conjugacy_classes()]
     w = csv.writer(stream)
     header = ["character", "degree"]
-    for g in reps:
-        label = element_label(g)
+    for cls in G.conjugacy_classes():
+        label = element_label(cls[0])
         header += [f"({label})", f"({label})~"]
     w.writerow(header)
+    # cyclo_csv reads only a value's conductor, coeffs and den: render each
+    # distinct value once
+    cells = {}
     for idx, chi in enumerate(chars):
         row = [f"chi{idx}", chi.degree]
-        for g in reps:
-            row += cyclo_csv(chi.value(g))
+        for v in chi.values:
+            key = (v.conductor, v.coeffs, v.den)
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = cyclo_csv(v)
+            row += cell
         w.writerow(row)

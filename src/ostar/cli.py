@@ -1,7 +1,9 @@
 """Batch front-end: validate job configs, run the pipeline, emit reports.
 
 Config and report are JSON; character tables and orbit reports are also
-exportable as CSV.  Reports are byte-identical across repeated runs.
+exportable as CSV.  Reports are byte-identical across repeated runs.  The
+writer splices orbit rows from text rendered once per orbit, and chartable
+values from text rendered once per distinct value.
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
 invalid or output not writable, 3 budget refused, 4 internal consistency
@@ -310,8 +312,9 @@ def _verdict_agreement(decided, verified):
 def run_job(cfg: JobConfig) -> dict:
     """Execute the requested tasks in dependency order and return the
     report as plain JSON data, deterministic for identical configs: each
-    character's orbit rows become a list of dicts, so report_bytes of the
-    report, edited or not, is its json.dumps text."""
+    character's orbit rows become a list of dicts and the chartable values
+    lists of cyclo_json dicts, so report_bytes of the report, edited or
+    not, is its json.dumps text."""
     G, rep = build_job(cfg)
     report = _run_tasks(cfg, G, rep)
     for entry in report["tasks"].get("orbits", {}).get("per_character", ()):
@@ -325,12 +328,17 @@ def run_job(cfg: JobConfig) -> dict:
             }
             for r in entry["records"].records
         ]
+    chartable = report["tasks"].get("chartable")
+    if chartable is not None:
+        chartable["values"] = [[cyclo_json(v) for v in row]
+                               for row in chartable["values"].rows]
     return report
 
 
 def _run_tasks(cfg, G, rep):
     """The report, with each character's orbit rows held as an _OrbitRows
-    that report_bytes and the CSV export read."""
+    that report_bytes and the CSV export read, and the chartable values as
+    a _ValueRows that report_bytes reads."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -400,9 +408,7 @@ def _run_tasks(cfg, G, rep):
                     }
                     for cls in classes
                 ],
-                "values": [
-                    [cyclo_json(v) for v in chi.values] for chi in table.chars
-                ],
+                "values": _ValueRows([chi.values for chi in table.chars]),
             }
         elif task == "orbits":
             texts = {}
@@ -465,15 +471,29 @@ class _OrbitRows:
         self.records, self.texts = records, texts
 
 
+class _ValueRows:
+    """The chartable values, held as rows: each character's values tuple
+    of CycloNums, in class order; and texts: the text of each distinct
+    value, cached per indent and keyed by (conductor, coeffs, den), since a
+    CycloNum is unhashable.  report_bytes writes them as the lists of
+    cyclo_json dicts that run_job makes of them."""
+
+    __slots__ = ("rows", "texts")
+
+    def __init__(self, rows):
+        self.rows, self.texts = rows, {}
+
+
 def report_bytes(report: dict) -> bytes:
     """The report as json.dumps(report, sort_keys=True, indent=2) plus a
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
     writing the same text directly.  The orbit rows of a CLI run (an
     _OrbitRows) are spliced from text rendered once per orbit (see
-    _orbit_rows_text).  An integer too long for the interpreter's
-    int-to-decimal limit, which json.dumps cannot write either, raises
-    BudgetError."""
+    _orbit_rows_text), and its chartable values (a _ValueRows) from text
+    rendered once per distinct value (see _value_rows_text).  An integer
+    too long for the interpreter's int-to-decimal limit, which json.dumps
+    cannot write either, raises BudgetError."""
     try:
         text = _json_text(report, "\n") + "\n"
     except ValueError as exc:
@@ -488,10 +508,11 @@ _int_text = int.__repr__
 def _json_text(o, ind):
     """o as json.dumps(o, sort_keys=True, indent=2) writes it when its line
     starts with ind, a newline plus the current indentation.  Every
-    container is built with one "".join over its pieces, and the orbit rows
-    of a CLI run (an _OrbitRows) by _orbit_rows_text.  Reports hold only
-    strings, integers, booleans, None, lists, tuples and dicts with string
-    keys; anything else raises TypeError naming its type."""
+    container is built with one "".join over its pieces, the orbit rows of
+    a CLI run (an _OrbitRows) by _orbit_rows_text, and its chartable values
+    (a _ValueRows) by _value_rows_text.  Reports hold only strings,
+    integers, booleans, None, lists, tuples and dicts with string keys;
+    anything else raises TypeError naming its type."""
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
@@ -504,6 +525,8 @@ def _json_text(o, ind):
         return _int_text(o)
     if type(o) is _OrbitRows:
         return _orbit_rows_text(o, ind)
+    if type(o) is _ValueRows:
+        return _value_rows_text(o, ind)
     inner = ind + "  "
     sep = "," + inner
     if isinstance(o, (list, tuple)):
@@ -553,6 +576,26 @@ def _orbit_rows_text(rows, ind):
         for r, (mid, tail) in zip(rows.records, pieces)
     ])
     return f"[{inner}{text}{ind}]"
+
+
+def _value_rows_text(values, ind):
+    """_json_text of a _ValueRows.  cyclo_json reads only a value's
+    conductor, coeffs and den, so each distinct value is rendered once per
+    indent and its text spliced into every cell that holds it."""
+    inner = ind + "  "
+    cell_ind = inner + "  "
+    texts = values.texts.setdefault(ind, {})
+    rows = []
+    for row in values.rows:
+        cells = []
+        for v in row:
+            key = (v.conductor, v.coeffs, v.den)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = _json_text(cyclo_json(v), cell_ind)
+            cells.append(text)
+        rows.append(f"[{cell_ind}{(',' + cell_ind).join(cells)}{inner}]" if cells else "[]")
+    return f"[{inner}{(',' + inner).join(rows)}{ind}]" if rows else "[]"
 
 
 def _write_csv_outputs(cfg, G, report, out_path: Path) -> list:

@@ -430,7 +430,7 @@ def _presented(v: CycloNum):
     if v.is_rational() and v.conductor != 1:
         v = CycloNum.from_rational(v.as_fraction())
     z = v.evalf()
-    return (v.conductor, v.rational_coeffs()[: len(v.coeffs)],
+    return (v.conductor, [Fraction(c, v.den) for c in v.coeffs],
             f"{z.real:.10g}{z.imag:+.10g}j")
 
 

@@ -738,3 +738,23 @@ def test_chartable_csv_roundtrip():
     # classes sit in min-element-code order: identity, reflections, rotations
     assert rows[3][4] == "1:0"
     assert rows[3][6] == "1:-1"
+
+
+def test_chartable_csv_memo_tells_values_apart():
+    # cells are rendered once per (conductor, coeffs, den): values that
+    # share two of the three still get their own text
+    import csv
+    from types import SimpleNamespace
+
+    from ostar.cyclotomic import cyclo_csv
+
+    G = dihedral(3)
+    z3 = root_of_unity(3, 1)
+    rows = [(CycloNum.from_rational(1), CycloNum.from_rational(Fraction(1, 2)), z3),
+            (z3 / 2, CycloNum.from_rational(1), root_of_unity(6, 1))]
+    chars = [SimpleNamespace(degree=1, values=row) for row in rows]
+    buf = io.StringIO()
+    export_chartable_csv(G, chars, buf)
+    got = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert [row[2:] for row in got[1:]] == [
+        [text for v in row for text in cyclo_csv(v)] for row in rows]

@@ -8,14 +8,17 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostar import cli
 from ostar.cli import TASKS, build_job, main, parse_config, report_bytes, run_job
 from ostar.characters import character_table
+from ostar.cyclotomic import CycloNum, cyclo_json, root_of_unity
 from ostar.errors import BudgetError
 from ostar.symclass import orbit_scan
 
@@ -171,9 +174,113 @@ def test_edited_orbit_report_matches_json_dumps(name):
     assert report_bytes(report) == reference(report)
 
 
-# every orbit job, and every config with all tasks
+# -- chartable values spliced from text rendered once per distinct value ----
+
+# the bench's four chartable groups, whose tables repeat few values
+TABLE_JOBS = {
+    "d90": {"A": [45], "H": [2], "phi": [[[44]]], "rep": "regular"},
+    "pq111": {"family": {"pq": {"p": 3, "q": 37, "r": 26}}, "rep": "natural"},
+    "z110": {"family": {"z_group": {"s": 11, "t": 10, "r": 2}}, "rep": "natural"},
+    "c3wrc3": {"wreath": {"A": [3], "H": [3], "omega": 3, "action": "regular"},
+               "rep": "natural"},
+}
+
+# sha256 of each group's --format csv chartable file, as the writer before
+# the rendered-once values produced it
+CHARTABLE_CSV_SHA256 = {
+    "d90": "426348253beb51bd4f6aed67b4656797d1c8f2ae7f2893f2c8090b98bf2bb5cf",
+    "pq111": "4a0ce38c1197aa86519699242acce669a14950cef68060c610f7ca1278ddda58",
+    "z110": "fceb93ebc18f3551a44d780c56e2fba2c593a37ebe62e86dae87499dae930176",
+    "c3wrc3": "879e6b8bedcedb149738262a1d288ee5fec0c9e0415e2b0aff89a7a094559544",
+    "dihedral3": "838cda3063dab9a70a1ee95a8e901f740a0de367bc0d380010f593a0f31c34da",
+    "order21": "92ca0b49caf4623620270195123401da08261c32b17874b793a06543d2552a8c",
+}
+
+
+@pytest.mark.parametrize("name", TABLE_JOBS)
+def test_value_rows_match_json_dumps_at_any_depth(name):
+    G, _ = build_job(parse_config(json.dumps(TABLE_JOBS[name])))
+    values = cli._ValueRows([chi.values for chi in character_table(G).chars])
+    want = [[cyclo_json(v) for v in row] for row in values.rows]
+    for value, plain in ((values, want), ([values], [want]), ({"a": values}, {"a": want}),
+                         ({"b": [{"c": values}], "a": [[values]]},
+                          {"b": [{"c": want}], "a": [[want]]})):
+        assert report_bytes(value) == reference(plain)
+    # the same _ValueRows, and so the same memo, at two depths in one report
+    assert report_bytes([values, {"a": [values]}]) == reference([want, {"a": [want]}])
+    assert report_bytes(cli._ValueRows([])) == reference([])
+
+
+def test_value_rows_memo_tells_values_apart():
+    # values that share two of (conductor, coeffs, den) get their own text
+    z3 = root_of_unity(3, 1)
+    rows = [(CycloNum.from_rational(1), CycloNum.from_rational(Fraction(1, 2)), z3),
+            (z3 / 2, CycloNum.from_rational(1), root_of_unity(6, 1)), ()]
+    values = cli._ValueRows(rows)
+    assert report_bytes({"v": values}) == reference(
+        {"v": [[cyclo_json(v) for v in row] for row in rows]})
+
+
+@pytest.mark.parametrize("name", TABLE_JOBS)
+def test_edited_chartable_report_matches_json_dumps(name):
+    report = run_job(parse_config(json.dumps(dict(TABLE_JOBS[name],
+                                                  tasks=["chartable"]))))
+    values = report["tasks"]["chartable"]["values"]
+    assert all(type(cell) is dict for row in values for cell in row)
+    values[0][0]["approx"] = "edited"
+    values[-1].append(dict(values[-1][-1], coeffs=[[7, 3]]))
+    values.append([])
+    assert report_bytes(report) == reference(report)
+
+
+def test_cli_chartable_renders_each_distinct_value_once(tmp_path, monkeypatch):
+    G, _ = build_job(parse_config(json.dumps(TABLE_JOBS["d90"])))
+    chars = character_table(G).chars
+    keys = {(v.conductor, v.coeffs, v.den) for chi in chars for v in chi.values}
+    assert (len(keys), sum(len(chi.values) for chi in chars)) == (26, 576)
+    calls = []
+
+    def counting(v):
+        calls.append((v.conductor, v.coeffs, v.den))
+        return cyclo_json(v)
+
+    monkeypatch.setattr(cli, "cyclo_json", counting)
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(TABLE_JOBS["d90"]))
+    out = tmp_path / "report.json"
+    assert main(["chartable", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(calls) == sorted(keys)
+    monkeypatch.undo()
+    assert out.read_bytes() == reference(
+        run_job(parse_config(json.dumps(dict(TABLE_JOBS["d90"], tasks=["chartable"])))))
+
+
+@pytest.mark.parametrize("name", CHARTABLE_CSV_SHA256)
+def test_chartable_csv_files_unchanged(name, tmp_path):
+    doc = TABLE_JOBS.get(name) or json.loads(
+        next(p for p in CONFIGS if p.stem == name).read_text())
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["chartable", str(cfg_path), "--out", str(out), "--format", "csv"]) == 0
+    chartable = json.loads(out.read_text())["tasks"]["chartable"]
+    data = (tmp_path / "report.chartable.csv").read_bytes()
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    assert rows[0][:2] == ["character", "degree"]
+    assert rows[0][2::2] == [f"({c['label']})" for c in chartable["classes"]]
+    assert [row[2:] for row in rows[1:]] == [
+        [text for cell in row
+         for text in (f"{cell['conductor']}:" + ";".join(
+             str(Fraction(*c)) for c in cell["coeffs"]), cell["approx"])]
+        for row in chartable["values"]
+    ]
+    assert hashlib.sha256(data).hexdigest() == CHARTABLE_CSV_SHA256[name]
+
+
+# every orbit job, every chartable group, and every config with all tasks
 CLI_JOBS = {
     **{name: dict(doc, tasks=["orbits", "dims"]) for name, doc in ORBIT_JOBS.items()},
+    **{name: dict(doc, tasks=["chartable"]) for name, doc in TABLE_JOBS.items()},
     **{path.stem: dict(json.loads(path.read_text()), tasks=list(TASKS))
        for path in CONFIGS},
 }
@@ -181,8 +288,9 @@ CLI_JOBS = {
 
 @pytest.mark.parametrize("name", CLI_JOBS)
 def test_cli_reports_match_json_dumps_of_run_job(name, tmp_path):
-    # the CLI writes orbit rows from their OrbitRecords (_orbit_rows_text),
-    # run_job returns them as dicts: both must give the json.dumps text
+    # the CLI writes orbit rows from their OrbitRecords (_orbit_rows_text)
+    # and chartable values from their CycloNums (_value_rows_text), run_job
+    # returns them as dicts: both must give the json.dumps text
     doc = CLI_JOBS[name]
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps(doc))
