@@ -4,12 +4,10 @@ and wreath products of finite abelian groups."""
 from .cyclotomic import (
     CONDUCTOR_CAP,
     CycloNum,
-    SemigroupQuery,
     cyclotomic_polynomial,
     lam_leung_certifies_nonzero,
     prime_factors,
     root_of_unity,
-    semigroup_member,
 )
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .groups import (

@@ -1,9 +1,10 @@
 """Batch front-end: validate job configs, run the pipeline, emit reports.
 
 Config and report are JSON; character tables and orbit reports are also
-exportable as CSV.  Reports are byte-identical across repeated runs.  The
-writer splices orbit rows from text rendered once per orbit, and chartable
-values from text rendered once per distinct value.
+exportable as CSV.  Reports are byte-identical across repeated runs, and
+run_job returns the same bytes parsed.  The writer splices orbit rows from
+text rendered once per orbit, and chartable values from text rendered once
+per distinct value.
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
 invalid or output not writable, 3 budget refused, 4 internal consistency
@@ -218,6 +219,8 @@ def parse_config(text: str) -> JobConfig:
     subgroup_bound = budgets.get("subgroup_bound", SUBGROUP_CAP)
     _pos_int(index_budget, "$.budgets.index_budget")
     _pos_int(subgroup_bound, "$.budgets.subgroup_bound")
+    _expect(subgroup_bound <= SUBGROUP_CAP, "$.budgets.subgroup_bound",
+            f"expected at most the subgroup cap {SUBGROUP_CAP}, got {subgroup_bound}")
 
     output = doc.get("output", {})
     _expect(isinstance(output, dict), "$.output", "expected an object")
@@ -311,34 +314,17 @@ def _verdict_agreement(decided, verified):
 
 def run_job(cfg: JobConfig) -> dict:
     """Execute the requested tasks in dependency order and return the
-    report as plain JSON data, deterministic for identical configs: each
-    character's orbit rows become a list of dicts and the chartable values
-    lists of cyclo_json dicts, so report_bytes of the report, edited or
-    not, is its json.dumps text."""
+    report the CLI writes, parsed: json.loads of its report_bytes, so plain
+    JSON data, deterministic for identical configs.  A report that
+    report_bytes refuses raises its BudgetError here too."""
     G, rep = build_job(cfg)
-    report = _run_tasks(cfg, G, rep)
-    for entry in report["tasks"].get("orbits", {}).get("per_character", ()):
-        entry["records"] = [
-            {
-                "rep": list(r.rep),
-                "orbit_size": r.orbit_size,
-                "stabilizer_order": len(r.stabilizer),
-                "s_alpha": r.s_alpha,
-                "in_delta_bar": r.in_delta_bar,
-            }
-            for r in entry["records"].records
-        ]
-    chartable = report["tasks"].get("chartable")
-    if chartable is not None:
-        chartable["values"] = [[cyclo_json(v) for v in row]
-                               for row in chartable["values"].rows]
-    return report
+    return json.loads(report_bytes(_run_tasks(cfg, G, rep)))
 
 
 def _run_tasks(cfg, G, rep):
     """The report, with each character's orbit rows held as an _OrbitRows
     that report_bytes and the CSV export read, and the chartable values as
-    a _ValueRows that report_bytes reads."""
+    a _ValueRows that report_bytes reads; only the writer reads either."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -462,8 +448,9 @@ def _run_tasks(cfg, G, rep):
 class _OrbitRows:
     """One character's orbit rows, held as the OrbitRecords of its scan,
     and texts: the row text that no character enters, cached per indent and
-    shared by all characters of one scan.  report_bytes writes them as the
-    list of row dicts that run_job makes of them."""
+    shared by all characters of one scan.  report_bytes writes them as a
+    list of row dicts with the keys rep, orbit_size, stabilizer_order,
+    s_alpha and in_delta_bar."""
 
     __slots__ = ("records", "texts")
 
@@ -475,8 +462,8 @@ class _ValueRows:
     """The chartable values, held as rows: each character's values tuple
     of CycloNums, in class order; and texts: the text of each distinct
     value, cached per indent and keyed by (conductor, coeffs, den), since a
-    CycloNum is unhashable.  report_bytes writes them as the lists of
-    cyclo_json dicts that run_job makes of them."""
+    CycloNum is unhashable.  report_bytes writes them as lists of
+    cyclo_json dicts."""
 
     __slots__ = ("rows", "texts")
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -28,13 +27,11 @@ __all__ = [
     "CONDUCTOR_CAP",
     "ConductorError",
     "CycloNum",
-    "SemigroupQuery",
     "cyclotomic_polynomial",
     "root_of_unity",
     "cyclo_json",
     "cyclo_csv",
     "prime_factors",
-    "semigroup_member",
     "lam_leung_certifies_nonzero",
 ]
 
@@ -473,43 +470,11 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SemigroupQuery:
-    """Does k lie in N_0<{p_1,...,p_t}>, the set of nonnegative integer
-    combinations of the given primes?"""
-
-    k: int
-    primes: frozenset[int]
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
-        if not self.primes:
-            raise ValueError("the prime set must be nonempty")
-        for p in self.primes:
-            if p < 2 or prime_factors(p) != (p,):
-                raise ValueError(f"{p} is not prime")
-
-
-def semigroup_member(query: SemigroupQuery) -> bool:
-    """Dynamic programming over residues 0..k."""
-    k = query.k
-    reach = bytearray(k + 1)
-    reach[0] = 1
-    ps = sorted(query.primes)
-    for i in range(1, k + 1):
-        for p in ps:
-            if p > i:
-                break
-            if reach[i - p]:
-                reach[i] = 1
-                break
-    return bool(reach[k])
-
-
 def lam_leung_certifies_nonzero(k: int, m: int) -> bool:
     """True iff no k-term sum of m-th roots of unity can vanish, i.e. k lies
-    outside N_0<Prime(m)>.
+    outside N_0<Prime(m)>, the nonnegative integer combinations of the
+    primes dividing m (Lam & Leung, J. Algebra 224, 2000).  Membership is
+    dynamic programming over 0..k; for m = 1 only 0 is a member.
 
     A False return only means the criterion is silent; it is not a claim
     that some vanishing sum exists.
@@ -517,6 +482,8 @@ def lam_leung_certifies_nonzero(k: int, m: int) -> bool:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     ps = prime_factors(m)
-    if not ps:
-        return k != 0
-    return not semigroup_member(SemigroupQuery(k, frozenset(ps)))
+    reach = bytearray(k + 1)
+    reach[0] = 1
+    for i in range(1, k + 1):
+        reach[i] = any(reach[i - p] for p in ps if p <= i)
+    return not reach[k]

@@ -727,10 +727,11 @@ def enumerate_subgroups(G: SemidirectGroup, bound: int = SUBGROUP_CAP):
     only on the coset S g, so both are skipped once seen.  Subgroups are
     sorted by order, then by sorted codes, which is sorted tuple order.
 
-    Refuses loudly (never answers partially) when |G| exceeds the bound,
-    on every call; below it the lattice is computed once per group and
-    cached on G.
+    Refuses loudly (never answers partially) when |G| exceeds the bound
+    or SUBGROUP_CAP, whichever is lower, on every call; below it the
+    lattice is computed once per group and cached on G.
     """
+    bound = min(bound, SUBGROUP_CAP)
     if G.order > bound:
         raise BudgetError(
             f"subgroup enumeration refused: |G| = {G.order} exceeds bound {bound}"

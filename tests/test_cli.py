@@ -19,7 +19,7 @@ from ostar.cli import (
     run_job,
 )
 from ostar.errors import BudgetError, ConfigError
-from ostar.groups import PermRep
+from ostar.groups import SUBGROUP_CAP, PermRep
 
 
 def write_cfg(tmp_path, doc, name="job.json"):
@@ -177,6 +177,26 @@ def test_run_budget_refusal_raises():
     )
     with pytest.raises(BudgetError):
         run_job(cfg)
+
+
+def test_run_job_refuses_what_the_writer_refuses():
+    # the decided dimension witness 2^20000 is past the int-to-str digit
+    # limit: run_job raises the BudgetError that the CLI turns into exit 3
+    cfg = parse_config(json.dumps({"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                                   "n": 2, "m": 20000, "tasks": ["decide"]}))
+    with pytest.raises(BudgetError, match="report refused"):
+        run_job(cfg)
+
+
+def test_main_subgroup_bound_above_the_cap_exits_2(tmp_path, capsys):
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 2, "tasks": ["decide"],
+                             "budgets": {"subgroup_bound": SUBGROUP_CAP + 1}})
+    assert main(["run", str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: $.budgets.subgroup_bound: ")
+    assert str(SUBGROUP_CAP + 1) in captured.err
 
 
 def test_run_verify_agreement_recorded():

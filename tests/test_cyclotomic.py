@@ -6,6 +6,7 @@ enumeration for the numerical-semigroup membership.
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -18,12 +19,10 @@ from ostar.cyclotomic import (
     CONDUCTOR_CAP,
     ConductorError,
     CycloNum,
-    SemigroupQuery,
     cyclotomic_polynomial,
     lam_leung_certifies_nonzero,
     prime_factors,
     root_of_unity,
-    semigroup_member,
 )
 
 
@@ -234,29 +233,31 @@ def brute_member(k, primes):
     return k in reach
 
 
+def member(k, primes):
+    # k lies in N_0<primes> iff the criterion is silent for m = prod(primes)
+    return not lam_leung_certifies_nonzero(k, math.prod(primes))
+
+
 def test_semigroup_examples():
-    assert not semigroup_member(SemigroupQuery(2, frozenset({3, 5})))
-    assert semigroup_member(SemigroupQuery(8, frozenset({3, 5})))
+    assert not member(2, {3, 5})
+    assert member(8, {3, 5})
     # oracle: exhaust all 3a + 5b <= 7
     sums = {3 * a + 5 * b for a in range(4) for b in range(3)}
     assert 7 not in sums
-    assert not semigroup_member(SemigroupQuery(7, frozenset({3, 5})))
+    assert not member(7, {3, 5})
 
 
 def test_semigroup_against_brute_force():
-    for primes in ({2}, {3}, {2, 3}, {3, 5}, {5, 7}, {2, 7}, {3, 5, 7}):
+    # the empty set is m = 1, where only 0 is a member
+    for primes in (set(), {2}, {3}, {2, 3}, {3, 5}, {5, 7}, {2, 7}, {3, 5, 7}):
         for k in range(0, 41):
-            assert semigroup_member(SemigroupQuery(k, frozenset(primes))) == \
-                brute_member(k, primes)
+            assert member(k, primes) == brute_member(k, primes)
 
 
-def test_semigroup_query_validation():
-    with pytest.raises(ValueError):
-        SemigroupQuery(3, frozenset())
-    with pytest.raises(ValueError):
-        SemigroupQuery(3, frozenset({4}))
-    with pytest.raises(ValueError):
-        SemigroupQuery(-1, frozenset({3}))
+def test_lam_leung_rejects_negative_k():
+    for m in (1, 3, 15):
+        with pytest.raises(ValueError):
+            lam_leung_certifies_nonzero(-1, m)
 
 
 def test_prime_factors():

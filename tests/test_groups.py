@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from ostar import decide
+from ostar import decide, groups
 from ostar.characters import character_table, dual_orbits, zero_set
 from ostar.cyclotomic import prime_factors
 from ostar.errors import BudgetError
@@ -458,6 +458,19 @@ def test_enumerate_subgroups_bound_refusal():
     G = dihedral(7)
     with pytest.raises(BudgetError):
         enumerate_subgroups(G, bound=10)
+
+
+def test_enumerate_subgroups_bound_cannot_exceed_the_cap(monkeypatch):
+    # a caller's bound above SUBGROUP_CAP is lowered to it: the order-202
+    # group is refused before any lattice is built
+    def unreachable(G):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(groups, "_subgroup_lattice", unreachable)
+    G = dihedral(101)
+    with pytest.raises(BudgetError, match=r"\|G\| = 202 exceeds bound 200"):
+        enumerate_subgroups(G, bound=10**9)
+    assert G._subgroups is None
 
 
 def closure(G, gens):

@@ -286,11 +286,31 @@ CLI_JOBS = {
 }
 
 
+def same_json(a, b):
+    """a == b, with the same type at every node: dict, list, int, bool,
+    str or None (so True never stands for 1, nor a tuple for a list)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_json, a, b))
+    assert type(a) in (int, bool, str, type(None)), type(a)
+    return a == b
+
+
+def test_same_json_tells_types_apart():
+    assert same_json({"a": [1, True, None, "x"]}, {"a": [1, True, None, "x"]})
+    assert not same_json([1], [True])
+    assert not same_json({"a": [1]}, {"a": [1.0]})
+    assert not same_json([[1]], [(1,)])
+    assert not same_json({"a": 1}, {"a": 1, "b": 2})
+
+
 @pytest.mark.parametrize("name", CLI_JOBS)
 def test_cli_reports_match_json_dumps_of_run_job(name, tmp_path):
-    # the CLI writes orbit rows from their OrbitRecords (_orbit_rows_text)
-    # and chartable values from their CycloNums (_value_rows_text), run_job
-    # returns them as dicts: both must give the json.dumps text
+    # run_job returns the bytes that ostar run writes, parsed; they must be
+    # its json.dumps text, and equal it type for type
     doc = CLI_JOBS[name]
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps(doc))
@@ -304,7 +324,17 @@ def test_cli_reports_match_json_dumps_of_run_job(name, tmp_path):
             run_job(parse_config(json.dumps(doc)))
         return
     assert code == 0
-    assert out.read_bytes() == reference(run_job(parse_config(json.dumps(doc))))
+    report = run_job(parse_config(json.dumps(doc)))
+    assert out.read_bytes() == reference(report)
+    assert same_json(report, json.loads(out.read_bytes()))
+
+
+@pytest.mark.parametrize("name", TABLE_JOBS)
+def test_run_job_chartable_values_are_cyclo_json_of_the_table(name):
+    cfg = parse_config(json.dumps(dict(TABLE_JOBS[name], tasks=["chartable"])))
+    G, _ = build_job(cfg)
+    want = [[cyclo_json(v) for v in chi.values] for chi in character_table(G).chars]
+    assert same_json(run_job(cfg)["tasks"]["chartable"]["values"], want)
 
 
 @pytest.mark.parametrize("name", ORBIT_JOBS)
