@@ -31,6 +31,9 @@ from .cyclotomic import (
     CONDUCTOR_CAP,
     CycloNum,
     _cyclotomic_root_mod,
+    _images_mod,
+    _integral_terms,
+    _interned,
     cyclo_csv,
     root_of_unity,
 )
@@ -365,7 +368,9 @@ def _table_certified(chars, G: SemidirectGroup) -> bool:
          fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
       4. |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the image
          of every T_ij, i <= j, under zeta_E -> w in Z/p is 0 for some
-         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.  The modulus search
+         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.  Conjugation sends
+         zeta_E to zeta_E^-1, so the image of conj(V[j][c]) under w is the
+         image of V[j][c] under w^-1.  The modulus search
          (_cyclotomic_root_mod) is deterministic.
     False means only "not shown"; the exact checks then decide.
     """
@@ -384,9 +389,7 @@ def _table_certified(chars, G: SemidirectGroup) -> bool:
         return False
 
     # each distinct value once: R[i][c] indexes vals
-    ids = {}
-    R = [[ids.setdefault((v.conductor, v.coeffs), len(ids)) for v in row] for row in V]
-    vals = [CycloNum.from_coeffs(n, coeffs) for n, coeffs in ids]
+    vals, R = _interned(V)
 
     sizes = [len(cls) for cls in classes]
     for u in _unit_generators(E):
@@ -406,16 +409,9 @@ def _table_certified(chars, G: SemidirectGroup) -> bool:
         size * max(l1[r[c]] for r in R) ** 2 for c, size in enumerate(sizes)
     )
     p, w = _cyclotomic_root_mod(E, bound)
-    powers = [1] * E
-    for e in range(1, E):
-        powers[e] = powers[e - 1] * w % p
-
-    def image(v, sign):
-        step = sign * (E // v.conductor)
-        return sum(c * powers[k * step % E] for k, c in enumerate(v.coeffs) if c) % p
-
-    up = [image(v, 1) for v in vals]
-    down = [image(v, -1) for v in vals]
+    terms = _integral_terms(vals, E)
+    up = _images_mod(terms, E, p, w)
+    down = _images_mod(terms, E, p, pow(w, -1, p))
     X = [[size * up[a] for size, a in zip(sizes, r)] for r in R]
     Y = [[down[a] for a in r] for r in R]
     for i, x in enumerate(X):
@@ -537,13 +533,7 @@ def export_chartable_csv(G: SemidirectGroup, chars, stream) -> None:
     w.writerow(header)
     # cyclo_csv reads only a value's conductor, coeffs and den: render each
     # distinct value once
-    cells = {}
-    for idx, chi in enumerate(chars):
-        row = [f"chi{idx}", chi.degree]
-        for v in chi.values:
-            key = (v.conductor, v.coeffs, v.den)
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = cyclo_csv(v)
-            row += cell
-        w.writerow(row)
+    vals, index = _interned(chi.values for chi in chars)
+    cells = [cyclo_csv(v) for v in vals]
+    for idx, (chi, row) in enumerate(zip(chars, index)):
+        w.writerow([f"chi{idx}", chi.degree, *(x for a in row for x in cells[a])])

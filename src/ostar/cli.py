@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .characters import element_label, export_chartable_csv, validated_table
-from .cyclotomic import cyclo_json
+from .cyclotomic import _interned, cyclo_json
 from .decide import (
     INCONCLUSIVE,
     brute_force_verify,
@@ -98,7 +98,10 @@ def _perm_1based(value, path, degree):
                 f"{path}[{i}]", f"expected an integer, got {v!r}")
     _expect(sorted(value) == list(range(1, degree + 1)), path,
             f"expected a permutation of 1..{degree}")
-    return tuple(v - 1 for v in value)
+
+
+def _zero_based(perms):
+    return tuple(tuple(v - 1 for v in p) for p in perms)
 
 
 def parse_config(text: str) -> JobConfig:
@@ -108,6 +111,8 @@ def parse_config(text: str) -> JobConfig:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply to parse: {exc}") from exc
     _expect(isinstance(doc, dict), "$", "expected a JSON object")
 
     forms = [k for k in ("family", "wreath") if k in doc]
@@ -162,10 +167,8 @@ def parse_config(text: str) -> JobConfig:
                     'expected "regular" or a list of permutations of 1..omega')
             _expect(len(action) == len(h_factors), "$.wreath.action",
                     f"expected {len(h_factors)} permutations (one per generator of H)")
-            action = [
-                list(p + 1 for p in _perm_1based(sig, f"$.wreath.action[{j}]", omega))
-                for j, sig in enumerate(action)
-            ]
+            for j, sig in enumerate(action):
+                _perm_1based(sig, f"$.wreath.action[{j}]", omega)
         payload = {"A": a_factors, "H": h_factors, "omega": omega, "action": action}
     else:
         fam = doc["family"]
@@ -196,6 +199,8 @@ def parse_config(text: str) -> JobConfig:
         for k in ("A", "H"):
             _expect(isinstance(ex[k], list), f"$.rep.explicit.{k}",
                     "expected a list of permutations")
+            for i, sig in enumerate(ex[k]):
+                _perm_1based(sig, f"$.rep.explicit.{k}[{i}]", ex["degree"])
 
     n = doc.get("n")
     if n is not None:
@@ -261,11 +266,8 @@ def build_job(cfg: JobConfig):
                     )
                 spec = WreathSpec.regular(A, H)
             else:
-                spec = WreathSpec(
-                    A, H, cfg.group_payload["omega"],
-                    tuple(tuple(x - 1 for x in sig)
-                          for sig in cfg.group_payload["action"]),
-                )
+                spec = WreathSpec(A, H, cfg.group_payload["omega"],
+                                  _zero_based(cfg.group_payload["action"]))
             G = build_wreath(spec)
         else:
             (name, params), = cfg.group_payload.items()
@@ -283,16 +285,7 @@ def build_job(cfg: JobConfig):
             rep = regular_rep(G)
         else:
             ex = cfg.rep_spec["explicit"]
-            degree = ex["degree"]
-            a_images = [
-                _perm_1based(p, f"$.rep.explicit.A[{i}]", degree)
-                for i, p in enumerate(ex["A"])
-            ]
-            h_images = [
-                _perm_1based(p, f"$.rep.explicit.H[{i}]", degree)
-                for i, p in enumerate(ex["H"])
-            ]
-            rep = PermRep(G, a_images, h_images, kind="explicit")
+            rep = PermRep(G, _zero_based(ex["A"]), _zero_based(ex["H"]), kind="explicit")
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
@@ -460,15 +453,13 @@ class _OrbitRows:
 
 class _ValueRows:
     """The chartable values, held as rows: each character's values tuple
-    of CycloNums, in class order; and texts: the text of each distinct
-    value, cached per indent and keyed by (conductor, coeffs, den), since a
-    CycloNum is unhashable.  report_bytes writes them as lists of
+    of CycloNums, in class order.  report_bytes writes them as lists of
     cyclo_json dicts."""
 
-    __slots__ = ("rows", "texts")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows, self.texts = rows, {}
+        self.rows = rows
 
 
 def report_bytes(report: dict) -> bytes:
@@ -567,21 +558,15 @@ def _orbit_rows_text(rows, ind):
 
 def _value_rows_text(values, ind):
     """_json_text of a _ValueRows.  cyclo_json reads only a value's
-    conductor, coeffs and den, so each distinct value is rendered once per
-    indent and its text spliced into every cell that holds it."""
+    conductor, coeffs and den, so each distinct value (see _interned) is
+    rendered once and its text spliced into every cell that holds it."""
     inner = ind + "  "
     cell_ind = inner + "  "
-    texts = values.texts.setdefault(ind, {})
-    rows = []
-    for row in values.rows:
-        cells = []
-        for v in row:
-            key = (v.conductor, v.coeffs, v.den)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = _json_text(cyclo_json(v), cell_ind)
-            cells.append(text)
-        rows.append(f"[{cell_ind}{(',' + cell_ind).join(cells)}{inner}]" if cells else "[]")
+    vals, index = _interned(values.rows)
+    texts = [_json_text(cyclo_json(v), cell_ind) for v in vals]
+    sep = "," + cell_ind
+    rows = [f"[{cell_ind}{sep.join([texts[a] for a in row])}{inner}]" if row else "[]"
+            for row in index]
     return f"[{inner}{(',' + inner).join(rows)}{ind}]" if rows else "[]"
 
 
@@ -634,12 +619,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        cfg = parse_config(text)
         if args.command == "validate":
             build_job(cfg)
             print("ok")

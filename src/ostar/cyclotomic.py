@@ -10,9 +10,11 @@ pass.  Floating point never participates in any decision; ``evalf`` exists
 for oracles and reports only.
 
 Also home to the numerical-semigroup membership test behind the vanishing
-sums-of-roots-of-unity criterion, and to the search for a prime p = 1
-(mod N) with a root of Phi_N mod p, which the certified character-table
-validation and the certified Gram rank share.
+sums-of-roots-of-unity criterion, and to three helpers that the certified
+character-table validation and the certified Gram rank share: the search
+for a prime p = 1 (mod N) with a root w of Phi_N mod p, the images of
+values under zeta_N -> w, and the interning of a matrix's distinct values,
+which the chartable JSON and CSV writers use too.
 """
 
 from __future__ import annotations
@@ -128,6 +130,34 @@ def _cyclotomic_root_mod(E: int, bound: int):
             acc = (acc * w + c) % p
         if acc == 0:
             return p, w
+
+
+def _interned(rows):
+    """(the distinct values of rows in order of first occurrence, each row as
+    indices into them), keyed on the canonical fields (conductor, coeffs,
+    den): equal values at one conductor share an index."""
+    ids = {}
+    index = [[ids.setdefault((v.conductor, v.coeffs, v.den), len(ids)) for v in row]
+             for row in rows]
+    return [CycloNum(*key) for key in ids], index
+
+
+def _integral_terms(values, N):
+    """D v at conductor N for each v, with D the lcm of the denominators, as
+    sparse (exponent of zeta_N, integer coefficient) pairs; N must be a
+    multiple of every conductor."""
+    D = math.lcm(*(v.den for v in values))
+    return [[(i * (N // v.conductor), c * (D // v.den))
+             for i, c in enumerate(v.coeffs) if c] for v in values]
+
+
+def _images_mod(terms, N, p, w):
+    """The residues mod p of _integral_terms under the ring map Z[zeta_N] ->
+    Z/p, zeta_N -> w, for w^N = 1 (mod p)."""
+    powers = [1] * N
+    for e in range(1, N):
+        powers[e] = powers[e - 1] * w % p
+    return [sum(c * powers[e] for e, c in t) % p for t in terms]
 
 
 class CycloNum:
@@ -380,7 +410,7 @@ class CycloNum:
         return a.den == b.den and a.coeffs == b.coeffs
 
     # equal values at different conductors would need equal hashes; key
-    # caches on something else instead
+    # on the canonical fields instead, as _interned does
     __hash__ = None
 
     def __str__(self):

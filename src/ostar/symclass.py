@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import compress
 from operator import eq, getitem
 
-from .cyclotomic import CycloNum, _cyclotomic_root_mod
+from .cyclotomic import (CycloNum, _cyclotomic_root_mod, _images_mod, _integral_terms,
+                         _interned)
 from .errors import BudgetError, ConsistencyError
 from .groups import PermRep, SemidirectGroup, count_text, perm_cycle_count
 
@@ -437,16 +438,9 @@ def cyclo_rank(rows) -> int:
     full = min(len(M), ncols)
     if not full:
         return 0
-    ids = {}
-    R = [[ids.setdefault((v.conductor, v.coeffs, v.den), len(ids)) for v in row]
-         for row in M]
-    N = math.lcm(*(n for n, _, _ in ids))
-    D = math.lcm(*(d for _, _, d in ids))
-    # D e at conductor N as sparse (exponent of zeta_N, integer coefficient)
-    terms = [
-        [(i * (N // n), c * (D // d)) for i, c in enumerate(coeffs) if c]
-        for n, coeffs, d in ids
-    ]
+    vals, R = _interned(M)
+    N = math.lcm(*(v.conductor for v in vals))
+    terms = _integral_terms(vals, N)
     l1 = [sum(abs(c) for _, c in t) for t in terms]
     B = sorted((max(1, sum(l1[a] ** 2 for a in row)) for row in R), reverse=True)
     units = [k for k in range(N) if math.gcd(k, N) == 1]  # [0] when N = 1
@@ -456,11 +450,7 @@ def cyclo_rank(rows) -> int:
     while True:
         p, w = _cyclotomic_root_mod(N, bound)
         for k in units:
-            wk = pow(w, k, p)
-            powers = [1] * N
-            for e in range(1, N):
-                powers[e] = powers[e - 1] * wk % p
-            image = [sum(c * powers[e] for e, c in t) % p for t in terms]
+            image = _images_mod(terms, N, p, pow(w, k, p))
             r = max(r, _rank_mod_p([[image[a] for a in row] for row in R], p))
             norms *= p
             if r == full or norms**2 > math.prod(B[: r + 1]) ** len(units):

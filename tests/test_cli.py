@@ -617,3 +617,30 @@ def test_main_malformed_config_or_output_exits_2(tmp_path, capsys, command, doc,
     assert main([command, str(p), *map(fill, args)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and fill(named) in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "chartable"])
+@pytest.mark.parametrize("raw, named", [
+    (b'{"family": {"dihedral": {"s": 3}}, "tasks": ["\xffchartable"]}',
+     "can't decode byte 0xff"),
+    (b"[" * 200_000 + b"]" * 200_000, "config nests too deeply to parse: "),
+], ids=["not-utf8", "deep-array"])
+def test_main_undecodable_or_deep_config_exits_2(tmp_path, capsys, command, raw, named):
+    # these crashed with a UnicodeDecodeError or RecursionError traceback
+    p = tmp_path / "job.json"
+    p.write_bytes(raw)
+    assert main([command, str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+    assert err.count("\n") == 1
+
+
+def test_parse_config_checks_rep_permutations_and_keeps_them():
+    rep = {"explicit": {"degree": 3, "A": [[2, 3, 1]], "H": [[1, 3, 2]]}}
+    assert parse_config(json.dumps({**EXPLICIT_REP_D6, "rep": rep})).rep_spec == rep
+    for k, bad in (("A", [[2, 3, 1], [1, 1, 2]]), ("H", [[1, 2, 3, 4]])):
+        doc = {**EXPLICIT_REP_D6, "rep": {"explicit": dict(rep["explicit"], **{k: bad})}}
+        i = len(bad) - 1
+        with pytest.raises(ConfigError, match=rf"^\$\.rep\.explicit\.{k}\[{i}\]: "
+                                              r"expected a permutation of 1\.\.3$"):
+            parse_config(json.dumps(doc))

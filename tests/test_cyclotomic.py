@@ -19,6 +19,10 @@ from ostar.cyclotomic import (
     CONDUCTOR_CAP,
     ConductorError,
     CycloNum,
+    _cyclotomic_root_mod,
+    _images_mod,
+    _integral_terms,
+    _interned,
     cyclotomic_polynomial,
     lam_leung_certifies_nonzero,
     prime_factors,
@@ -288,3 +292,51 @@ def test_lam_leung_soundness_sample():
                 total = total + zeta(n, rng.randrange(n))
             if total.is_zero():
                 assert not lam_leung_certifies_nonzero(k, n)
+
+
+# -- images modulo a prime and interning --------------------------------------------
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 5, 12, 21, 55])
+def test_images_mod_are_a_ring_map(N):
+    # zeta_N -> w is a ring map Z[zeta_N] -> F_p, conjugation is the map at
+    # w^-1, and values with denominators are imaged as D v
+    rng = random.Random(N)
+    p, w = _cyclotomic_root_mod(N, 1000)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    a, b = ([CycloNum.from_coeffs(n, [rng.randint(-4, 4) for _ in range(n)])
+             for n in rng.choices(divisors, k=8)] for _ in range(2))
+
+    def image(values, root=w):
+        return _images_mod(_integral_terms(values, N), N, p, root)
+
+    ia, ib = image(a), image(b)
+    assert all(0 <= x < p for x in ia)
+    assert image([x + y for x, y in zip(a, b)]) == [(x + y) % p for x, y in zip(ia, ib)]
+    assert image([x * y for x, y in zip(a, b)]) == [x * y % p for x, y in zip(ia, ib)]
+    assert image([x.conj() for x in a]) == image(a, pow(w, -1, p))
+    for k in range(1, N):
+        if math.gcd(k, N) == 1:
+            assert image([x._galois(k) for x in a]) == image(a, pow(w, k, p))
+
+    fracs = [x / rng.randint(1, 6) for x in a]
+    D = math.lcm(*(v.den for v in fracs))
+    assert D > 1
+    assert image(fracs) == [D * x * pow(v.den, -1, p) % p
+                            for v, x in zip(fracs, image([v * v.den for v in fracs]))]
+    assert _integral_terms(fracs, N) == _integral_terms([v * D for v in fracs], N)
+
+
+def test_interned_tells_apart_values_that_share_two_key_fields():
+    z3 = zeta(3)
+    one, half = CycloNum.from_rational(1), CycloNum.from_rational(Fraction(1, 2))
+    # 1 and 1/2, z3 and z3/2 share conductor and coeffs; z3 and z6 share
+    # coeffs and den; 1 at conductor 3 equals 1 but is another key
+    rows = [(one, half, z3), (z3 / 2, zeta(6), one), (), (CycloNum.from_rational(1, 3), z3)]
+    vals, index = _interned(rows)
+    assert index == [[0, 1, 2], [3, 4, 0], [], [5, 2]]
+    for row, ids in zip(rows, index):
+        for v, a in zip(row, ids):
+            assert (vals[a].conductor, vals[a].coeffs, vals[a].den) == (
+                v.conductor, v.coeffs, v.den)
+    assert _interned([]) == ([], [])

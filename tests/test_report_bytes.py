@@ -206,7 +206,7 @@ def test_value_rows_match_json_dumps_at_any_depth(name):
                          ({"b": [{"c": values}], "a": [[values]]},
                           {"b": [{"c": want}], "a": [[want]]})):
         assert report_bytes(value) == reference(plain)
-    # the same _ValueRows, and so the same memo, at two depths in one report
+    # the same _ValueRows at two depths in one report
     assert report_bytes([values, {"a": [values]}]) == reference([want, {"a": [want]}])
     assert report_bytes(cli._ValueRows([])) == reference([])
 
