@@ -11,6 +11,8 @@ evaluates at (a, h) to
 (Serre, Linear Representations of Finite Groups, 8.2): summing x o phi_{h'}
 over all h' in H would count each orbit member |H_x| times.  Each value is
 one sum of roots of unity at the conductor lcm(exp A, conductor of U).
+U is read in coordinates along a cyclic decomposition of H_x, which one
+greedy pass gives together with every element's coordinates.
 
 All values are exact CycloNums, and an IrredChar stores them once per
 conjugacy class (`values`, in `G.conjugacy_classes()` order) when it is
@@ -142,47 +144,40 @@ def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualO
 
 
 def cyclic_decomposition(sub, H: AbelianGroup):
-    """Generators and orders presenting a subgroup of an abelian group as a
-    direct product of cyclic groups.
+    """Generators and orders presenting a subgroup S of an abelian group as
+    a direct product of cyclic groups.
 
-    Backtracking search: repeatedly adjoin an element of maximal order whose
-    cyclic span meets the current span trivially.  Deterministic because
-    candidates are tried in (order desc, tuple asc) order.
+    One greedy pass: take the elements of S in (order desc, tuple asc)
+    order and adjoin each one whose cyclic span meets the span P so far
+    only in the identity.  The pass never dead-ends.  Say P is a direct
+    summand, S = P + Q, and take a valid candidate y = p + q, k = ord(q).
+    Then k y = k p lies in P & <y> = 0, so ord(y) = ord(q) <= exp(Q).
+    Every q in Q is itself valid, so the first valid candidate has
+    ord(q) = exp(Q).  Then Q = <q> + R, and q -> y extends to an
+    automorphism fixing P + R, so S = P + <y> + R.  One pass is enough,
+    because a rejected candidate stays rejected as P grows.
     """
+    return _decomposition_coords(sub, H)[0]
+
+
+def _decomposition_coords(sub, H: AbelianGroup):
+    """cyclic_decomposition's pass, which also grows each element's
+    coordinates along the generators: (decomposition, coords)."""
     sub = frozenset(sub)
     ident = H.identity
-    if sub == {ident}:
-        return ()
-
-    def cyc(y):
-        out = [ident]
-        z = y
-        while z != ident:
-            out.append(z)
+    dec, coords = [], {ident: ()}
+    for y in sorted(sub - {ident}, key=lambda y: (-H.order_of(y), y)):
+        cy, z = [ident], y
+        while z not in coords:  # ends at the identity or at a clash with P
+            cy.append(z)
             z = H.add(z, y)
-        return out
-
-    cands = sorted(sub, key=lambda y: (-H.order_of(y), y))
-
-    def extend(span, gens):
-        if len(span) == len(sub):
-            return tuple(gens)
-        for y in cands:
-            if y in span:
-                continue
-            cy = cyc(y)
-            if any(z != ident and z in span for z in cy):
-                continue
-            wider = {H.add(u, v) for u in span for v in cy}
-            got = extend(wider, gens + [(y, len(cy))])
-            if got is not None:
-                return got
-        return None
-
-    got = extend({ident}, [])
-    if got is None:
-        raise ConsistencyError("no cyclic decomposition found for subgroup")
-    return got
+        if z == ident:
+            dec.append((y, len(cy)))
+            coords = {H.add(u, w): cs + (k,)
+                      for u, cs in coords.items() for k, w in enumerate(cy)}
+    if len(coords) != len(sub):
+        raise ConsistencyError("cyclic decomposition does not enumerate the subgroup")
+    return tuple(dec), coords
 
 
 class LinearChar:
@@ -216,19 +211,9 @@ class LinearChar:
 def dual_of_subgroup(sub, H: AbelianGroup) -> tuple[LinearChar, ...]:
     """All |S| linear characters of the subgroup S, in exponent-code order
     relative to its cyclic decomposition."""
-    dec = cyclic_decomposition(sub, H)
-    coords = {}
-    for cs in iter_product(*(range(d) for _, d in dec)):
-        elem = H.identity
-        for c, (g, _) in zip(cs, dec):
-            elem = H.add(elem, H.mul_scalar(c, g))
-        coords[elem] = cs
-    if len(coords) != len(frozenset(sub)):
-        raise ConsistencyError("cyclic decomposition does not enumerate the subgroup")
-    return tuple(
-        LinearChar(H, dec, e, coords)
-        for e in iter_product(*(range(d) for _, d in dec))
-    )
+    dec, coords = _decomposition_coords(sub, H)
+    exps = iter_product(*(range(d) for _, d in dec))
+    return tuple(LinearChar(H, dec, e, coords) for e in exps)
 
 
 class IrredChar:

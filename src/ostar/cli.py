@@ -91,12 +91,18 @@ def _pos_int(value, path):
     return value
 
 
+def _index_budget(value, path):
+    _expect(_pos_int(value, path) <= DEFAULT_INDEX_BUDGET, path,
+            f"expected at most the index cap {DEFAULT_INDEX_BUDGET}, got {value}")
+    return value
+
+
 def _perm_1based(value, path, degree):
     _expect(isinstance(value, list), path, "expected a permutation as a list")
     for i, v in enumerate(value):
         _expect(isinstance(v, int) and not isinstance(v, bool),
                 f"{path}[{i}]", f"expected an integer, got {v!r}")
-    _expect(sorted(value) == list(range(1, degree + 1)), path,
+    _expect(len(value) == degree and sorted(value) == list(range(1, degree + 1)), path,
             f"expected a permutation of 1..{degree}")
 
 
@@ -222,7 +228,7 @@ def parse_config(text: str) -> JobConfig:
         _expect(k in {"index_budget", "subgroup_bound"}, f"$.budgets.{k}", "unknown key")
     index_budget = budgets.get("index_budget", DEFAULT_INDEX_BUDGET)
     subgroup_bound = budgets.get("subgroup_bound", SUBGROUP_CAP)
-    _pos_int(index_budget, "$.budgets.index_budget")
+    _index_budget(index_budget, "$.budgets.index_budget")
     _pos_int(subgroup_bound, "$.budgets.subgroup_bound")
     _expect(subgroup_bound <= SUBGROUP_CAP, "$.budgets.subgroup_bound",
             f"expected at most the subgroup cap {SUBGROUP_CAP}, got {subgroup_bound}")
@@ -610,7 +616,7 @@ def main(argv=None) -> int:
                             help="report format; csv adds table files next to "
                                  "the JSON report")
             sp.add_argument("--budget", type=int,
-                            help="override the index budget")
+                            help="lower the index budget (at most 10^7)")
             sp.add_argument("--threads", type=int, default=1,
                             help="accepted and ignored; kept because the "
                                  "benchmark and scripts pass it")
@@ -636,7 +642,7 @@ def main(argv=None) -> int:
         if getattr(args, "verify", False) and "verify" not in cfg.tasks:
             cfg.tasks = tuple(cfg.tasks) + ("verify",)
         if args.budget is not None:
-            cfg.index_budget = _pos_int(args.budget, "--budget")
+            cfg.index_budget = _index_budget(args.budget, "--budget")
 
         out = args.out or cfg.output.get("path")
         fmt = args.format or cfg.output.get("format", "json")

@@ -516,11 +516,19 @@ class PermRep:
         return tuple(range(self.degree)) not in self.perms[1:]
 
     def extended(self, m: int) -> "PermRep":
-        """The same representation padded with fixed points up to degree m."""
+        """The same representation padded with fixed points up to degree m;
+        BudgetError, before any padding, if its |G| * m table entries exceed
+        ELEMENT_CAP**2, the regular representation's at the largest order."""
         if m < self.degree:
             raise ValueError(f"cannot shrink degree {self.degree} to {m}")
         if m == self.degree:
             return self
+        size = self.group.order * m
+        if size > ELEMENT_CAP**2:
+            raise BudgetError(
+                f"refusing to pad a representation to degree {count_text(m)}: "
+                f"|G| * m = {count_text(size)} table entries (cap {ELEMENT_CAP**2})"
+            )
         pad = tuple(range(self.degree, m))
         return PermRep(
             self.group,

@@ -13,7 +13,6 @@ and every report reproducible.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,13 +129,14 @@ def _orbits(G, rep, m, n, index_budget):
     Gamma_{m,n} in ascending code order: the list cached on rep per (m, n)
     by a finished walk, else a fresh _walk_orbits.  Refuses an n that is
     not a positive int, an m other than rep.degree and an n^m above the
-    index budget before walking."""
+    index budget (at most DEFAULT_INDEX_BUDGET) before walking."""
     _require_positive_n(n)
     if m != rep.degree:
         raise ValueError(
             f"m = {m} does not match the representation degree {rep.degree}; "
             f"pass rep.extended(m) to pad"
         )
+    index_budget = min(index_budget, DEFAULT_INDEX_BUDGET)
     total = n**m
     if total > index_budget:
         raise BudgetError(
@@ -156,20 +156,19 @@ def _walk_orbits(G, rep, m, n, cache):
     rep.perms[code(g)], so the code of alpha.g is the sum over j of
     (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
     term for the letter a over every g, packed in element-code order as
-    fixed-width fields of one int, so the image codes of alpha under all of
-    G are one sum of m ints.  No field carries into the next, since each
-    sums to an image code below n^m.  An orbit is read off that sum: its
-    distinct codes, and its stabilizer as the element codes whose image
-    code is alpha's own.  The next representative is the next unvisited code.
+    4-byte fields of one int, so the image codes of alpha under all of G
+    are one sum of m ints.  No field carries into the next, since each sums
+    to an image code below n^m <= DEFAULT_INDEX_BUDGET < 2^32.  An orbit is
+    read off that sum: its distinct codes, and its stabilizer as the
+    element codes whose image code is alpha's own.  The next representative
+    is the next unvisited code.
     """
     total = n**m
     perms = rep.perms
-    fmt = "I" if total <= 1 << 32 else "Q"
-    width = struct.calcsize(fmt)
 
     def packed(weights):
         return int.from_bytes(
-            b"".join(w.to_bytes(width, sys.byteorder) for w in weights),
+            b"".join(w.to_bytes(4, sys.byteorder) for w in weights),
             sys.byteorder,
         )
 
@@ -180,14 +179,14 @@ def _walk_orbits(G, rep, m, n, cache):
         )
         for j in range(m)
     ]
-    nbytes = width * G.order
+    nbytes = 4 * G.order
     visited = bytearray(total)
     parts = []
     code = 0
     while code >= 0:
         alpha = index_from_code(code, m, n)
         images = sum(map(getitem, col, alpha))
-        codes = memoryview(images.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
+        codes = memoryview(images.to_bytes(nbytes, sys.byteorder)).cast("I").tolist()
         orbit = set(codes)
         stab = tuple(compress(range(G.order), map(code.__eq__, codes)))
         for c in orbit:

@@ -8,6 +8,7 @@ conjugation-sum evaluation run against the abelian fast path.
 import io
 import math
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -29,6 +30,7 @@ from ostar.characters import (
     zero_set,
 )
 from ostar.cyclotomic import CycloNum, cyclotomic_polynomial, root_of_unity
+from ostar.errors import ConsistencyError
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
@@ -193,6 +195,120 @@ def test_dual_of_subgroup_counts_and_orthogonality(factors):
             for b in sub:
                 assert u.value(H.add(a, b)) == u.value(a) * u.value(b)
     assert len(seen) == len(sub)
+
+
+def reference_cyclic_decomposition(sub, H: AbelianGroup):
+    """Generators and orders presenting a subgroup of an abelian group as a
+    direct product of cyclic groups.
+
+    Backtracking search: repeatedly adjoin an element of maximal order whose
+    cyclic span meets the current span trivially.  Deterministic because
+    candidates are tried in (order desc, tuple asc) order.
+    """
+    sub = frozenset(sub)
+    ident = H.identity
+    if sub == {ident}:
+        return ()
+
+    def cyc(y):
+        out = [ident]
+        z = y
+        while z != ident:
+            out.append(z)
+            z = H.add(z, y)
+        return out
+
+    cands = sorted(sub, key=lambda y: (-H.order_of(y), y))
+
+    def extend(span, gens):
+        if len(span) == len(sub):
+            return tuple(gens)
+        for y in cands:
+            if y in span:
+                continue
+            cy = cyc(y)
+            if any(z != ident and z in span for z in cy):
+                continue
+            wider = {H.add(u, v) for u in span for v in cy}
+            got = extend(wider, gens + [(y, len(cy))])
+            if got is not None:
+                return got
+        return None
+
+    got = extend({ident}, [])
+    if got is None:
+        raise ConsistencyError("no cyclic decomposition found for subgroup")
+    return got
+
+
+def reference_dual_of_subgroup(sub, H: AbelianGroup):
+    """All |S| linear characters of the subgroup S, in exponent-code order
+    relative to its cyclic decomposition."""
+    dec = reference_cyclic_decomposition(sub, H)
+    coords = {}
+    for cs in iter_product(*(range(d) for _, d in dec)):
+        elem = H.identity
+        for c, (g, _) in zip(cs, dec):
+            elem = H.add(elem, H.mul_scalar(c, g))
+        coords[elem] = cs
+    if len(coords) != len(frozenset(sub)):
+        raise ConsistencyError("cyclic decomposition does not enumerate the subgroup")
+    return tuple(
+        characters.LinearChar(H, dec, e, coords)
+        for e in iter_product(*(range(d) for _, d in dec))
+    )
+
+
+def abelian_subgroups(H):
+    """Every subgroup of the abelian group H, closed from the trivial one by
+    adjoining one element at a time."""
+    found = {frozenset([H.identity])}
+    todo = list(found)
+    while todo:
+        S = todo.pop()
+        for g in H.elements():
+            if g in S:
+                continue
+            wider = set(S)
+            z = g
+            while z not in S:
+                wider.update(H.add(s, z) for s in S)
+                z = H.add(z, g)
+            wider = frozenset(wider)
+            if wider not in found:
+                found.add(wider)
+                todo.append(wider)
+    return sorted(found, key=lambda S: (len(S), sorted(S)))
+
+
+def assert_dual_matches_reference(sub, H):
+    assert cyclic_decomposition(sub, H) == reference_cyclic_decomposition(sub, H)
+    got, want = dual_of_subgroup(sub, H), reference_dual_of_subgroup(sub, H)
+    assert [(u.gens, u.orders, u.exponents) for u in got] == [
+        (u.gens, u.orders, u.exponents) for u in want]
+    for u, v in zip(got, want):
+        assert [u.value_exponent(h) for h in sub] == [v.value_exponent(h) for h in sub]
+
+
+DECOMPOSITION_SWEEP = [
+    [2], [4], [6], [12], [2, 2], [2, 4], [2, 6], [2, 8], [4, 4], [6, 6],
+    [3, 3], [3, 9], [5, 5], [2, 2, 2], [2, 2, 4], [2, 2, 6], [2, 4, 4], [3, 3, 3],
+]
+
+
+@pytest.mark.parametrize("factors", DECOMPOSITION_SWEEP, ids=str)
+def test_greedy_decomposition_matches_backtracking_reference(factors):
+    """The one greedy pass gives the backtracking search's generators,
+    orders and linear characters on every subgroup."""
+    H = AbelianGroup(factors)
+    for sub in abelian_subgroups(H):
+        assert_dual_matches_reference(sub, H)
+
+
+def test_greedy_decomposition_matches_reference_on_stabilizers():
+    for label, G in class_function_groups():
+        for orbit in dual_orbits(G.A, G.H, G.phi):
+            assert_dual_matches_reference(orbit.stabilizer, G.H)
 
 
 # -- irreducible characters ------------------------------------------------------------

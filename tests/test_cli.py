@@ -20,6 +20,7 @@ from ostar.cli import (
 )
 from ostar.errors import BudgetError, ConfigError
 from ostar.groups import SUBGROUP_CAP, PermRep
+from ostar.symclass import DEFAULT_INDEX_BUDGET
 
 
 def write_cfg(tmp_path, doc, name="job.json"):
@@ -368,6 +369,23 @@ def test_main_refuses_n_to_the_m_past_the_decimal_digit_limit(tmp_path, capsys, 
                 "n^m = at least 2^20000 exceeds the index budget") in captured.err
 
 
+@pytest.mark.parametrize("m", [4000000, 10**12])
+def test_main_refuses_an_oversized_padding_at_once(tmp_path, capsys, m):
+    # |D6| * m above ELEMENT_CAP**2 table entries: at m = 4000000 the padding
+    # ran 1.9 s and peaked at 640 MB before the index budget refused, and at
+    # m = 10**12 it crashed with a MemoryError traceback
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 1, "m": m, "tasks": ["orbits"]})
+    start = time.perf_counter()
+    assert main(["run", str(p)]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"budget refused: refusing to pad a representation to "
+                            f"degree {m}: |G| * m = {6 * m} table entries "
+                            f"(cap 4000000)\n")
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_main_config_integer_past_the_decimal_digit_limit_exits_2(tmp_path, capsys,
                                                                   command):
@@ -558,6 +576,28 @@ def test_m_override_pads_with_fixed_points(tmp_path):
     assert rows[0]["dim"] > 0
 
 
+def test_main_index_budget_above_the_cap_exits_2(tmp_path, capsys):
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 3, "tasks": ["orbits"],
+                             "budgets": {"index_budget": DEFAULT_INDEX_BUDGET + 1}})
+    assert main(["validate", str(p)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: $.budgets.index_budget: expected at most "
+                            "the index cap 10000000, got 10000001\n")
+
+
+@pytest.mark.parametrize("command", ["run", "chartable", "decide"])
+def test_main_budget_flag_above_the_cap_exits_2(tmp_path, capsys, command):
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}},
+                             "rep": "natural", "n": 3, "tasks": ["orbits"]})
+    assert main([command, str(p), "--budget", str(DEFAULT_INDEX_BUDGET + 1)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: --budget: expected at most the index cap "
+                            "10000000, got 10000001\n")
+
+
 def test_main_identical_runs_byte_identical(tmp_path):
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 5}},
                              "rep": "natural", "n": 3,
@@ -606,10 +646,18 @@ MISSING_DIR = "{tmp}/no/such/dir/report.json"
     ("run", EXPLICIT_REP_D6, ["--out", MISSING_DIR], MISSING_DIR),
     ("run", {**EXPLICIT_REP_D6, "output": {"path": MISSING_DIR}}, [], MISSING_DIR),
     ("run", EXPLICIT_REP_D6, ["--format", "csv", "--out", MISSING_DIR], MISSING_DIR),
+    ("validate", {**EXPLICIT_REP_D6,
+                  "rep": {"explicit": {"degree": 10**12, "A": [[1]], "H": [[1]]}}},
+     [], "$.rep.explicit.A[0]: expected a permutation of 1..1000000000000"),
+    ("validate", {"wreath": {"A": [2], "H": [2], "omega": 10**12, "action": [[1]]}},
+     [], "$.wreath.action[0]: expected a permutation of 1..1000000000000"),
 ], ids=["validate-rep-A-int", "run-rep-A-int", "run-rep-H-int", "output-path-int",
-        "out-missing-dir", "output-path-missing-dir", "csv-missing-dir"])
+        "out-missing-dir", "output-path-missing-dir", "csv-missing-dir",
+        "explicit-degree-1e12", "wreath-omega-1e12"])
 def test_main_malformed_config_or_output_exits_2(tmp_path, capsys, command, doc, args, named):
-    # each of these crashed with a TypeError or FileNotFoundError traceback
+    # each of these crashed with a TypeError, FileNotFoundError or
+    # MemoryError traceback; the last two built range(1, degree + 1) before
+    # comparing the permutation's length
     def fill(text):
         return text.replace("{tmp}", str(tmp_path))
     p = tmp_path / "job.json"

@@ -21,6 +21,7 @@ from ostar.groups import (
     AbelianGroup,
     ActionHom,
     Automorphism,
+    ELEMENT_CAP,
     PermRep,
     WreathSpec,
     SemidirectGroup,
@@ -471,6 +472,19 @@ def test_enumerate_subgroups_bound_cannot_exceed_the_cap(monkeypatch):
     with pytest.raises(BudgetError, match=r"\|G\| = 202 exceeds bound 200"):
         enumerate_subgroups(G, bound=10**9)
     assert G._subgroups is None
+
+
+@pytest.mark.parametrize("m", [ELEMENT_CAP**2 // 6 + 1, 10**12])
+def test_extended_refuses_an_oversized_padded_table(m):
+    # |D6| * m above ELEMENT_CAP**2 is refused before the padding is built:
+    # at m = 4000000 the padding ran 1.9 s and peaked at 640 MB, and at
+    # m = 10**12 it raised MemoryError
+    rep = dihedral(3).natural_rep
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=rf"\|G\| \* m = {6 * m} table entries "
+                                          rf"\(cap {ELEMENT_CAP**2}\)"):
+        rep.extended(m)
+    assert time.perf_counter() - start < 0.5
 
 
 def closure(G, gens):

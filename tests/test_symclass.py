@@ -268,6 +268,14 @@ def test_orbit_scan_budget_refusal():
         orbit_scan(D6, D6_REP, CHI2, 3, 2, index_budget=7)
 
 
+def test_orbit_scan_budget_cannot_exceed_the_cap():
+    # a caller's index budget above DEFAULT_INDEX_BUDGET is lowered to it:
+    # 11^7 = 19487171 indices are refused before any walk
+    with pytest.raises(BudgetError, match=r"n\^m = 19487171 exceeds the index "
+                                          r"budget 10000000"):
+        orbit_scan(D6, D6_REP.extended(7), CHI2, 7, 11, index_budget=10**9)
+
+
 # -- dimensions -----------------------------------------------------------------
 
 
