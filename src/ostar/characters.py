@@ -338,132 +338,105 @@ def _unit_generators(E: int) -> list[int]:
     return gens
 
 
-def _table_certified(chars, G: SemidirectGroup) -> bool:
-    """True only if every check of validate_table passes, shown without its
-    k^2 * #classes exact products (Dixon, Numer. Math. 1967).
-
-    With V[i][c] the value of character i at class c, E the lcm of the
-    value conductors and T_ij = sum_c |c| V[i][c] conj(V[j][c]) - |G| d_ij:
-      1. the degree sum is checked exactly;
-      2. every value is an algebraic integer (denominator 1);
-      3. for each u in a generating set of (Z/E)^*, lifted to u' coprime to
-         |G|, sigma_u(V[i][c]) == V[i][class of rep_c^u'] exactly.  u = -1
-         lifts to u' = -1, which is the conjugate-symmetry check.  As
-         g -> g^u' permutes the classes keeping their sizes, every T_ij is
-         fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
-      4. |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the image
-         of every T_ij, i <= j, under zeta_E -> w in Z/p is 0 for some
-         p > B with Phi_E(w) = 0 (mod p), so T_ij = 0.  Conjugation sends
-         zeta_E to zeta_E^-1, so the image of conj(V[j][c]) under w is the
-         image of V[j][c] under w^-1.  The modulus search
-         (_cyclotomic_root_mod) is deterministic.
-    False means only "not shown"; the exact checks then decide.
-    """
+def _galois_invariant(vals, R, G: SemidirectGroup, E: int) -> bool:
+    """True when sigma_u(V[i][c]) == V[i][class of rep_c^u'] for each
+    u != -1 in _unit_generators(E), lifted to u' coprime to |G|; R[i][c]
+    indexes V[i][c] in vals.  u = -1 is conjugate symmetry, checked apart."""
     classes = G.conjugacy_classes()
-    V = [[chi.value(cls[0]) for cls in classes] for chi in chars]
-    total = CycloNum.zero()
-    for chi in chars:
-        v = chi.value(G.identity)
-        total = total + v * v
-    if total != G.order:
-        return False
-    if any(v.den != 1 for row in V for v in row):
-        return False
-    E = math.lcm(*(v.conductor for row in V for v in row))
-    if E > CONDUCTOR_CAP:
-        return False
-
-    # each distinct value once: R[i][c] indexes vals
-    vals, R = _interned(V)
-
-    sizes = [len(cls) for cls in classes]
-    for u in _unit_generators(E):
+    for u in _unit_generators(E)[1:]:
         lift = u
         while math.gcd(lift, G.order) != 1:
             lift += E
         lift %= G.order
         pi = [G.class_index(_power(G, cls[0], lift)) for cls in classes]
         sigma = [v._galois(u) for v in vals]
-        for r in R:
-            for a, d in zip(r, pi):
-                if sigma[a] != vals[r[d]]:
-                    return False
-
-    l1 = [sum(map(abs, v.coeffs)) for v in vals]
-    bound = G.order + sum(
-        size * max(l1[r[c]] for r in R) ** 2 for c, size in enumerate(sizes)
-    )
-    p, w = _cyclotomic_root_mod(E, bound)
-    terms = _integral_terms(vals, E)
-    up = _images_mod(terms, E, p, w)
-    down = _images_mod(terms, E, p, pow(w, -1, p))
-    X = [[size * up[a] for size, a in zip(sizes, r)] for r in R]
-    Y = [[down[a] for a in r] for r in R]
-    for i, x in enumerate(X):
-        if (sum(map(operator.mul, x, Y[i])) - G.order) % p:
+        if any(sigma[a] != vals[r[d]] for r in R for a, d in zip(r, pi)):
             return False
-        for y in Y[i + 1:]:
-            if sum(map(operator.mul, x, y)) % p:
-                return False
     return True
 
 
 def validate_table(chars, G: SemidirectGroup) -> TableReport:
-    """Exact completeness, first-orthogonality and conjugate-symmetry checks.
+    """Exact completeness, first-orthogonality and conjugate-symmetry checks,
+    each computed once, over classes weighted by class size.
 
-    Characters are class functions, so the sums run over classes weighted
-    by class size and conjugate symmetry is checked at class representatives.
-    A table that _table_certified proves valid gets the all-true report
-    without the exact loops; any other table runs them, and they alone
-    write the failure messages.  Any failure here must abort downstream
-    decisions for the group.
+    With V[i][c] the value of character i at class c, E the lcm of the
+    value conductors and T_ij = sum_c |c| V[i][c] conj(V[j][c]) - |G| d_ij:
+      1. the degree sum is checked exactly;
+      2. conjugate symmetry, V[i][class of rep_c^-1] == conj(V[i][c]), is
+         checked exactly, conjugating each distinct value once;
+      3. the table is integral when every value is an algebraic integer
+         (denominator 1), E <= CONDUCTOR_CAP, conjugate symmetry holds (the
+         Galois check for u = -1) and _galois_invariant holds.  As
+         g -> g^u' permutes the classes keeping their sizes, every T_ij of
+         an integral table is fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
+      4. then |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the
+         image of T_ij under zeta_E -> w in Z/p, for a p > B with
+         Phi_E(w) = 0 (mod p), is T_ij mod p, so a zero image proves
+         T_ij = 0 (Dixon, Numer. Math. 1967).  Conjugation sends zeta_E to
+         zeta_E^-1: conj(V[j][c]) maps to the image of V[j][c] under w^-1.
+         The modulus search (_cyclotomic_root_mod) is deterministic.
+    A zero image proves nothing for a table that is not integral.  Every
+    relation i <= j not proven zero is summed exactly, and a failure prints
+    that sum.  Any failure must abort downstream decisions for the group.
     """
-    if _table_certified(chars, G):
-        return TableReport(
-            {"degree_sum": True, "orthogonality": True, "conjugate_symmetry": True},
-            [],
-        )
-    checks = {}
+    classes = G.conjugacy_classes()
+    sizes = [len(cls) for cls in classes]
+    V = [[chi.value(cls[0]) for cls in classes] for chi in chars]
     failures = []
 
     total = CycloNum.zero()
     for chi in chars:
         v = chi.value(G.identity)
         total = total + v * v
-    checks["degree_sum"] = total == G.order
-    if not checks["degree_sum"]:
+    degree_ok = total == G.order
+    if not degree_ok:
         failures.append(f"sum of squared degrees is {total}, expected {G.order}")
 
+    # each distinct value once: R[i][c] indexes vals
+    vals, R = _interned(V)
+    conj = [v.conj() for v in vals]
+    inv = [G.class_index(G.inv(cls[0])) for cls in classes]
+    asymmetric = []
+    for idx, r in enumerate(R):
+        for c, d in enumerate(inv):
+            if vals[r[d]] != conj[r[c]]:
+                asymmetric.append(
+                    f"conjugate symmetry failed for character {idx} at {classes[c][0]}")
+                break
+
+    E = math.lcm(*(v.conductor for v in vals))
+    integral = (not asymmetric and all(v.den == 1 for v in vals)
+                and E <= CONDUCTOR_CAP and _galois_invariant(vals, R, G, E))
+    if integral:
+        l1 = [sum(map(abs, v.coeffs)) for v in vals]
+        bound = G.order + sum(
+            size * max((l1[r[c]] for r in R), default=0) ** 2
+            for c, size in enumerate(sizes)
+        )
+        p, w = _cyclotomic_root_mod(E, bound)
+        terms = _integral_terms(vals, E)
+        up = _images_mod(terms, E, p, w)
+        down = _images_mod(terms, E, p, pow(w, -1, p))
+        X = [[size * up[a] for size, a in zip(sizes, r)] for r in R]
+        Y = [[down[a] for a in r] for r in R]
+
     ortho_ok = True
-    classes = G.conjugacy_classes()
-    for i in range(len(chars)):
-        for j in range(i, len(chars)):
-            s = CycloNum.zero()
-            for cls in classes:
-                a = chars[i].value(cls[0])
-                if a.is_zero():
-                    continue
-                b = chars[j].value(cls[0])
-                if b.is_zero():
-                    continue
-                s = s + a * b.conj() * len(cls)
+    for i, ri in enumerate(R):
+        for j in range(i, len(R)):
             expected = G.order if i == j else 0
+            if integral and (sum(map(operator.mul, X[i], Y[j])) - expected) % p == 0:
+                continue
+            s = CycloNum.zero()
+            for a, b, size in zip(ri, R[j], sizes):
+                if not (vals[a].is_zero() or vals[b].is_zero()):
+                    s = s + vals[a] * conj[b] * size
             if s != expected:
                 ortho_ok = False
                 failures.append(f"orthogonality failed for characters {i}, {j}: {s}")
-    checks["orthogonality"] = ortho_ok
 
-    sym_ok = True
-    for idx, chi in enumerate(chars):
-        for cls in classes:
-            g = cls[0]
-            if chi.value(G.inv(g)) != chi.value(g).conj():
-                sym_ok = False
-                failures.append(f"conjugate symmetry failed for character {idx} at {g}")
-                break
-    checks["conjugate_symmetry"] = sym_ok
-
-    return TableReport(checks, failures)
+    checks = {"degree_sum": degree_ok, "orthogonality": ortho_ok,
+              "conjugate_symmetry": not asymmetric}
+    return TableReport(checks, failures + asymmetric)
 
 
 @dataclass

@@ -306,15 +306,19 @@ def decide_subgroup_criterion(G, rep, chi, n,
 
 
 def _find_clique(adj, k):
-    """Deterministic backtracking k-clique search, greatest-degree-first.
-    None means proven absent; past CLIQUE_NODE_BUDGET search nodes it
-    raises BudgetError instead."""
-    nvert = len(adj)
+    """Deterministic backtracking k-clique search from vertex 0.  None means
+    proven absent; past CLIQUE_NODE_BUDGET search nodes, the empty root
+    counted first, it raises BudgetError instead.
+
+    Growing from vertex 0 alone is complete for the orthogonality graph on
+    the right cosets of G_alpha, where r_i ~ r_j iff the coset sum at
+    r_j r_i^-1 is zero.  That sum is constant on double cosets of G_alpha,
+    so right multiplication by any g permutes the cosets and keeps every
+    edge: the graph is vertex-transitive, and a k-clique exists iff one
+    contains vertex 0."""
     if k <= 0:
         return []
-    deg = [sum(row) for row in adj]
-    order = sorted(range(nvert), key=lambda v: (-deg[v], v))
-    nodes = 0
+    nodes = 1
 
     def grow(clique, cands):
         nonlocal nodes
@@ -331,7 +335,7 @@ def _find_clique(adj, k):
                 return got
         return None
 
-    return grow([], order)
+    return grow([0], [u for u in range(1, len(adj)) if adj[0][u]])
 
 
 def brute_force_verify(G, rep, chi, n,

@@ -284,14 +284,18 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     """chi(e)/|G| times the sum over the group of chi(g) n^(cycle count);
     must come out an exact nonnegative integer.  Both factors are class
     functions (conjugate permutations share a cycle type), so the sum runs
-    over conjugacy classes weighted by class size."""
+    over conjugacy classes weighted by class size.  The cycle count of each
+    class is computed once per representation and cached on it."""
     _require_same_group(G, rep, chi)
     _require_positive_n(n)
+    cache = vars(rep).setdefault("_orbit_cache", {})
+    if "cycles" not in cache:
+        cache["cycles"] = [cycle_count(cls[0], rep) for cls in G.conjugacy_classes()]
     total = CycloNum.zero()
-    for cls in G.conjugacy_classes():
+    for cls, c in zip(G.conjugacy_classes(), cache["cycles"]):
         v = chi.value(cls[0])
         if not v.is_zero():
-            total = total + v * (len(cls) * n ** cycle_count(cls[0], rep))
+            total = total + v * (len(cls) * n ** c)
     total = total * Fraction(chi.degree, G.order)
     try:
         q = total.as_fraction()

@@ -14,7 +14,6 @@ import pytest
 
 from ostar import characters
 from ostar.characters import (
-    _table_certified,
     _unit_generators,
     char_value_general,
     character_table,
@@ -660,9 +659,29 @@ class _Swapped:
         return self._chi.values[self._swap.get(k, k)]
 
 
-def test_table_certificate_accepts_every_valid_table():
+@pytest.fixture
+def products(monkeypatch):
+    """The type of the right operand of every CycloNum product made while
+    the test runs."""
+    calls = []
+    mul = CycloNum.__mul__
+
+    def counting_mul(self, other):
+        calls.append(type(other))
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloNum, "__mul__", counting_mul)
+    return calls
+
+
+def test_table_certificate_accepts_every_valid_table(products):
+    # every relation of a valid table is proven zero mod p: validation
+    # multiplies CycloNums only for the degree sum (k products)
     for label, G in class_function_groups():
-        assert _table_certified(character_table(G).chars, G), label
+        chars = character_table(G).chars
+        products.clear()
+        assert validate_table(chars, G).ok, label
+        assert 0 < len(products) <= 2 * len(chars), label
 
 
 def _mutated_tables():
@@ -706,10 +725,23 @@ def _mutated_tables():
 
 def test_table_certificate_rejects_mutated_tables():
     for label, chars, G in _mutated_tables():
-        assert not _table_certified(chars, G), label
         report = validate_table(chars, G)
         assert not report.ok, label
         assert report == per_element_report(chars, G), label
+
+
+def test_integral_table_sums_only_the_relations_left_open(products):
+    # the doubled-row table is integral, so the certificate proves the
+    # off-diagonal relation and the degree-2 row's diagonal zero mod p, and
+    # only the failing diagonal is summed: one CycloNum product per class
+    # (row 0 is 2 everywhere), after the 2 of the degree sum
+    label, chars, G = list(_mutated_tables())[-1]
+    assert label.endswith("doubled row")
+    products.clear()
+    report = validate_table(chars, G)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "orthogonality failed for characters 0, 0"]
+    assert products.count(CycloNum) == 2 + len(G.conjugacy_classes())
 
 
 def test_unit_generators_generate_the_unit_group():

@@ -639,6 +639,71 @@ def test_brute_force_matches_per_orbit_loop(G, rep, n, vertex_budget, monkeypatc
         assert new.to_json() == old.to_json(), i
 
 
+@pytest.fixture
+def clique_graphs(monkeypatch):
+    """Every (orthogonality graph, clique size) the oracle searches while
+    the test runs."""
+    graphs = []
+    find = decide._find_clique
+
+    def recording_find(adj, k):
+        graphs.append((adj, k))
+        return find(adj, k)
+
+    monkeypatch.setattr(decide, "_find_clique", recording_find)
+    return graphs
+
+
+def clique_search_nodes(adj, k, first):
+    """Nodes of the backtracking k-clique search, the empty root included,
+    when it grows from each vertex v of first over v's later neighbours and
+    finds no clique: the former search over every first vertex in order,
+    or the search from vertex 0 alone."""
+    nodes = 1
+
+    def grow(clique, cands):
+        nonlocal nodes
+        nodes += 1
+        if len(clique) < k <= len(clique) + len(cands):
+            for i, v in enumerate(cands):
+                grow(clique + [v], [u for u in cands[i + 1:] if adj[v][u]])
+
+    for v in first:
+        grow([v], [u for u in range(v + 1, len(adj)) if adj[v][u]])
+    return nodes
+
+
+@pytest.mark.parametrize("G, rep, n, vertex_budget", oracle_differential_cases())
+def test_orthogonality_graphs_are_regular(G, rep, n, vertex_budget, clique_graphs,
+                                          monkeypatch):
+    # the graphs are vertex-transitive, which the search from vertex 0 rests on
+    monkeypatch.setattr(decide, "VERTEX_BUDGET", vertex_budget)
+    for chi in character_table(G).chars:
+        brute_force_verify(G, rep, chi, n)
+    assert clique_graphs
+    for adj, _ in clique_graphs:
+        assert len({sum(row) for row in adj}) == 1
+
+
+def test_clique_search_from_vertex_0_proves_absence_in_its_branch(
+        clique_graphs, monkeypatch):
+    # a budget that covers vertex 0's branch of every graph, but not the
+    # search over every first vertex of a graph with no clique: the search
+    # from vertex 0 proves the clique absent, where the former search ran
+    # out of budget and ended Inconclusive
+    assert brute_force_verify(D6, D6_REP, CHI2, 3).status == NOT_ADMITS
+    budget = max(clique_search_nodes(adj, k, [0]) for adj, k in clique_graphs)
+    assert any(
+        clique_search_nodes(adj, k, range(len(adj))) > budget
+        and decide._find_clique(adj, k) is None
+        for adj, k in clique_graphs
+    )
+    monkeypatch.setattr(decide, "CLIQUE_NODE_BUDGET", budget)
+    v = brute_force_verify(D6, D6_REP, CHI2, 3)
+    assert v.status == NOT_ADMITS
+    assert not any(p.get("budget_exceeded") for p in v.per_orbit)
+
+
 @pytest.mark.parametrize("name", ["D22", "F55"])
 def test_brute_force_n3_all_characters_fast(name):
     # the per-orbit loop took minutes on each (81 s and 188 s on a 2-CPU

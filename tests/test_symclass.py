@@ -26,6 +26,7 @@ from ostar.groups import (
     regular_rep,
     z_group,
 )
+from ostar import symclass
 from ostar.characters import character_table
 from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
@@ -352,6 +353,32 @@ def test_dim_matches_per_element_sum(n):
                 total = total + chi.value_uncached(g) * n ** cycle_count(g, rep)
             expected = total * Fraction(chi.degree, G.order)
             assert dim_symmetry_class(G, rep, chi, n) == expected, (label, n)
+
+
+def test_dim_counts_each_class_cycles_once_per_rep(monkeypatch):
+    # cycle counts depend only on the representation: across every character
+    # and two alphabet sizes, one perm_cycle_count per conjugacy class
+    G = dihedral(6)
+    rep = regular_rep(G)
+    chars = character_table(G).chars
+    expected = []
+    for n in (2, 3):
+        for chi in chars:
+            total = CycloNum.zero()
+            for g in G.elements():
+                total = total + chi.value(g) * n ** cycle_count(g, rep)
+            expected.append(total * Fraction(chi.degree, G.order))
+    calls = []
+    count = symclass.perm_cycle_count
+
+    def counting(p):
+        calls.append(p)
+        return count(p)
+
+    monkeypatch.setattr(symclass, "perm_cycle_count", counting)
+    dims = [dim_symmetry_class(G, rep, chi, n) for n in (2, 3) for chi in chars]
+    assert dims == expected
+    assert len(calls) == len(G.conjugacy_classes())
 
 
 def test_cycle_count_examples():
