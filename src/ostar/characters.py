@@ -310,14 +310,18 @@ class TableReport:
 
 
 def _power(G: SemidirectGroup, g, k: int):
-    """g^k for k >= 0, by square-and-multiply on G.mul."""
-    out = G.identity
+    """g^k by square-and-multiply on G.mul, with g^-k = (g^-1)^k; it never
+    multiplies by the identity or squares past the top bit of |k|."""
+    if k < 0:
+        g, k = G.inv(g), -k
+    out = None
     while k:
         if k & 1:
-            out = G.mul(out, g)
-        g = G.mul(g, g)
+            out = g if out is None else G.mul(out, g)
         k >>= 1
-    return out
+        if k:
+            g = G.mul(g, g)
+    return G.identity if out is None else out
 
 
 def _unit_generators(E: int) -> list[int]:
@@ -338,21 +342,18 @@ def _unit_generators(E: int) -> list[int]:
     return gens
 
 
-def _galois_invariant(vals, R, G: SemidirectGroup, E: int) -> bool:
-    """True when sigma_u(V[i][c]) == V[i][class of rep_c^u'] for each
-    u != -1 in _unit_generators(E), lifted to u' coprime to |G|; R[i][c]
-    indexes V[i][c] in vals.  u = -1 is conjugate symmetry, checked apart."""
-    classes = G.conjugacy_classes()
-    for u in _unit_generators(E)[1:]:
-        lift = u
-        while math.gcd(lift, G.order) != 1:
-            lift += E
-        lift %= G.order
-        pi = [G.class_index(_power(G, cls[0], lift)) for cls in classes]
-        sigma = [v._galois(u) for v in vals]
-        if any(sigma[a] != vals[r[d]] for r in R for a, d in zip(r, pi)):
-            return False
-    return True
+def _galois_step(vals, R, G: SemidirectGroup, E: int, u: int):
+    """(pi, first) for a unit u mod E: pi[c] is the class of rep_c^u', for
+    u' = u + kE with the least k >= 0 making u' coprime to |G|, and first[i]
+    is the first class c where sigma_u(V[i][c]) != V[i][pi[c]], or None;
+    R[i][c] indexes V[i][c] in vals."""
+    lift = u
+    while math.gcd(lift, G.order) != 1:
+        lift += E
+    pi = [G.class_index(_power(G, cls[0], lift)) for cls in G.conjugacy_classes()]
+    sigma = [v._galois(u) for v in vals]
+    return pi, [next((c for c, d in enumerate(pi) if sigma[r[c]] != vals[r[d]]), None)
+                for r in R]
 
 
 def validate_table(chars, G: SemidirectGroup) -> TableReport:
@@ -361,20 +362,24 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
 
     With V[i][c] the value of character i at class c, E the lcm of the
     value conductors and T_ij = sum_c |c| V[i][c] conj(V[j][c]) - |G| d_ij:
-      1. the degree sum is checked exactly;
-      2. conjugate symmetry, V[i][class of rep_c^-1] == conj(V[i][c]), is
-         checked exactly, conjugating each distinct value once;
+      1. the degree sum is checked exactly on V's identity column;
+      2. for a unit u mod E and u' = u (mod E) coprime to |G|, g -> g^u'
+         permutes the classes keeping their sizes, and a character's value
+         at g^u' is its value at g under sigma_u: zeta_E -> zeta_E^u.
+         _galois_step compares the two exactly, applying sigma_u once per
+         distinct value.  At u = -1 that is conjugate symmetry,
+         V[i][class of rep_c^-1] == conj(V[i][c]);
       3. the table is integral when every value is an algebraic integer
-         (denominator 1), E <= CONDUCTOR_CAP, conjugate symmetry holds (the
-         Galois check for u = -1) and _galois_invariant holds.  As
-         g -> g^u' permutes the classes keeping their sizes, every T_ij of
-         an integral table is fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
+         (denominator 1), E <= CONDUCTOR_CAP and step 2 holds for u = -1
+         and every u in _unit_generators(E).  Then every T_ij of an
+         integral table is fixed by Gal(Q(zeta_E)/Q) and so lies in Z;
       4. then |T_ij| <= B = sum_c |c| max_i L1(V[i][c])^2 + |G|, and the
          image of T_ij under zeta_E -> w in Z/p, for a p > B with
          Phi_E(w) = 0 (mod p), is T_ij mod p, so a zero image proves
-         T_ij = 0 (Dixon, Numer. Math. 1967).  Conjugation sends zeta_E to
-         zeta_E^-1: conj(V[j][c]) maps to the image of V[j][c] under w^-1.
-         The modulus search (_cyclotomic_root_mod) is deterministic.
+         T_ij = 0 (Dixon, Numer. Math. 1967).  By step 2 at u = -1,
+         conj(V[j][c]) = V[j][class of rep_c^-1], whose image is already
+         computed.  The modulus search (_cyclotomic_root_mod) is
+         deterministic.
     A zero image proves nothing for a table that is not integral.  Every
     relation i <= j not proven zero is summed exactly, and a failure prints
     that sum.  Any failure must abort downstream decisions for the group.
@@ -385,28 +390,22 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
     failures = []
 
     total = CycloNum.zero()
-    for chi in chars:
-        v = chi.value(G.identity)
-        total = total + v * v
+    for row in V:  # class 0 is the identity class
+        total = total + row[0] * row[0]
     degree_ok = total == G.order
     if not degree_ok:
         failures.append(f"sum of squared degrees is {total}, expected {G.order}")
 
     # each distinct value once: R[i][c] indexes vals
     vals, R = _interned(V)
-    conj = [v.conj() for v in vals]
-    inv = [G.class_index(G.inv(cls[0])) for cls in classes]
-    asymmetric = []
-    for idx, r in enumerate(R):
-        for c, d in enumerate(inv):
-            if vals[r[d]] != conj[r[c]]:
-                asymmetric.append(
-                    f"conjugate symmetry failed for character {idx} at {classes[c][0]}")
-                break
-
     E = math.lcm(*(v.conductor for v in vals))
+    inv, first = _galois_step(vals, R, G, E, -1)
+    asymmetric = [f"conjugate symmetry failed for character {i} at {classes[c][0]}"
+                  for i, c in enumerate(first) if c is not None]
     integral = (not asymmetric and all(v.den == 1 for v in vals)
-                and E <= CONDUCTOR_CAP and _galois_invariant(vals, R, G, E))
+                and E <= CONDUCTOR_CAP
+                and all(c is None for u in _unit_generators(E)[1:]
+                        for c in _galois_step(vals, R, G, E, u)[1]))
     if integral:
         l1 = [sum(map(abs, v.coeffs)) for v in vals]
         bound = G.order + sum(
@@ -414,11 +413,9 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
             for c, size in enumerate(sizes)
         )
         p, w = _cyclotomic_root_mod(E, bound)
-        terms = _integral_terms(vals, E)
-        up = _images_mod(terms, E, p, w)
-        down = _images_mod(terms, E, p, pow(w, -1, p))
+        up = _images_mod(_integral_terms(vals, E), E, p, w)
         X = [[size * up[a] for size, a in zip(sizes, r)] for r in R]
-        Y = [[down[a] for a in r] for r in R]
+        Y = [[up[r[d]] for d in inv] for r in R]
 
     ortho_ok = True
     for i, ri in enumerate(R):
@@ -429,7 +426,7 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
             s = CycloNum.zero()
             for a, b, size in zip(ri, R[j], sizes):
                 if not (vals[a].is_zero() or vals[b].is_zero()):
-                    s = s + vals[a] * conj[b] * size
+                    s = s + vals[a] * vals[b].conj() * size
             if s != expected:
                 ortho_ok = False
                 failures.append(f"orthogonality failed for characters {i}, {j}: {s}")

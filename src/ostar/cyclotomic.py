@@ -257,11 +257,13 @@ class CycloNum:
                 other = CycloNum.coerce(other)
             except TypeError:
                 return NotImplemented
+        # a zero whose conductor divides the other's adds nothing, not even
+        # a promotion: the lcm is the other operand's conductor
+        if not any(self.coeffs) and other.conductor % self.conductor == 0:
+            return other
+        if not any(other.coeffs) and self.conductor % other.conductor == 0:
+            return self
         a, b = (self, other) if self.conductor == other.conductor else self._pair(other)
-        if not any(a.coeffs):
-            return b
-        if not any(b.coeffs):
-            return a
         da, db = a.den, b.den
         if da == db:
             vec = [x + y for x, y in zip(a.coeffs, b.coeffs)]

@@ -278,10 +278,11 @@ def decide_subgroup_criterion(G, rep, chi, n,
     zero = [v.is_zero() for v in chi.values]
     class_of, elems = G.class_of, G.elements()
     target = chi.degree**2
-    # larger subgroups first: smaller index, stronger witness, deterministic
-    for S in sorted(subs, key=lambda S: (-len(S), sorted(S))):
+    # larger subgroups first: smaller index, stronger witness.  The sort is
+    # stable, so equal orders keep the lattice's ascending-code order
+    for S in sorted(subs, key=len, reverse=True):
         if G.order >= len(S) * target:
-            continue  # index not below chi(e)^2
+            break  # index not below chi(e)^2, nor for any later subgroup
         if any(zero[class_of[c]] for c in S):
             continue
         return Verdict(

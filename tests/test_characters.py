@@ -14,6 +14,7 @@ import pytest
 
 from ostar import characters
 from ostar.characters import (
+    _power,
     _unit_generators,
     char_value_general,
     character_table,
@@ -758,6 +759,35 @@ def test_unit_generators_generate_the_unit_group():
                     span.add(y)
                     frontier.append(y)
         assert span == {u for u in range(E) if math.gcd(u, E) == 1}, E
+
+
+def test_power_takes_negative_exponents_without_identity_products(monkeypatch):
+    for G in (dihedral(5), group_pq(3, 7, 2)):
+        for g in G.elements():
+            want, x = {0: G.identity}, G.identity
+            for k in range(1, 2 * G.order + 1):
+                x = G.mul(x, g)
+                want[k] = x
+            for k in range(-2 * G.order, 2 * G.order + 1):
+                got = _power(G, g, k)
+                assert got == (want[k] if k >= 0 else G.inv(want[-k])), (g, k)
+    # one product per bit below the top one, plus one per further set bit;
+    # g^-1 is one inversion and no product
+    G = dihedral(5)
+    g = ((1,), (0,))  # of order 5, so no product below meets the identity
+    calls = []
+    mul = type(G).mul
+
+    def counting(self, x, y):
+        assert G.identity not in (x, y)
+        calls.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(type(G), "mul", counting)
+    for k, products in ((0, 0), (1, 0), (-1, 0), (2, 1), (-8, 3), (11, 5)):
+        calls.clear()
+        _power(G, g, k)
+        assert len(calls) == products, k
 
 
 def test_table_validation_makes_no_exact_orthogonality_products(monkeypatch):

@@ -133,6 +133,27 @@ def test_mixed_conductor_promotion():
     assert zeta(2, 1) + zeta(3, 1) == zeta(6, 2) - 1  # both live in Q(zeta_6)
 
 
+def test_adding_a_zero_promotes_nothing(monkeypatch):
+    # a zero at a conductor dividing the other operand's is returned past,
+    # unpromoted, on either side; the sum is the other operand itself
+    calls = []
+    promote = CycloNum.promote
+
+    def counting(self, conductor):
+        calls.append(conductor)
+        return promote(self, conductor)
+
+    monkeypatch.setattr(CycloNum, "promote", counting)
+    v = zeta(12, 5) + Fraction(1, 3)
+    for zero in (CycloNum.zero(), CycloNum.zero(4), CycloNum.zero(12)):
+        calls.clear()
+        assert zero + v is v and v + zero is v and sum([v], zero) is v
+        assert calls == []
+    # otherwise the sum lies at the lcm of the conductors
+    assert (CycloNum.zero(5) + v).conductor == 60
+    assert (CycloNum.zero(5) + CycloNum.zero(3)).conductor == 15
+
+
 def test_scaling_and_division():
     v = zeta(5) * Fraction(3, 7)
     assert v / Fraction(3, 7) == zeta(5)

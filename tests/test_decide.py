@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ostar import decide
+from ostar import decide, groups
 from ostar.characters import character_table, zero_set
 from ostar.decide import (
     ADMITS,
@@ -463,6 +463,42 @@ def test_subgroup_criterion_bound_refusal_is_inconclusive():
     assert "budget_refused" in v.witness
 
 
+def former_subgroup_witness(G, chi):
+    """The subgroup scan as it was: the whole lattice re-sorted by (-order,
+    sorted codes), past the index bound too; the reference for the
+    stable sort by order and the early stop."""
+    zero = [v.is_zero() for v in chi.values]
+    for S in sorted(groups.enumerate_subgroups(G), key=lambda S: (-len(S), sorted(S))):
+        if G.order >= len(S) * chi.degree**2:
+            continue
+        if any(zero[G.class_of[c]] for c in S):
+            continue
+        return S
+    return None
+
+
+def test_subgroup_scan_matches_former_full_sort():
+    cases = [(name, suite_group(name)) for name in TABLE_SUITE]
+    cases.append(("C2^2wrC3", build_wreath(
+        WreathSpec.regular(AbelianGroup([2, 2]), AbelianGroup([3])))))
+    outcomes = set()
+    for label, G in cases:
+        elems = G.elements()
+        for n in (2, 3):
+            rep = G.natural_rep
+            if n**rep.degree > 20000:
+                continue
+            for chi in character_table(G).chars:
+                v = decide_subgroup_criterion(G, rep, chi, n)
+                if chi.degree == 1 or "alpha" not in v.witness:
+                    continue
+                S = former_subgroup_witness(G, chi)
+                want = None if S is None else [element_json(elems[c]) for c in sorted(S)]
+                assert v.witness.get("subgroup") == want, (label, n, chi)
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
 # -- brute force -------------------------------------------------------------------------
 
 
@@ -852,8 +888,6 @@ def test_pipeline_enumerates_the_subgroup_lattice_once(monkeypatch):
     # the lattice depends only on the group: cached on G, it is enumerated
     # once for all characters, with the same verdicts as a fresh lattice
     # per character, and the bound still refuses on every call
-    from ostar import groups
-
     G = build_wreath(WreathSpec.regular(AbelianGroup([2]), AbelianGroup([4])))
     rep = G.natural_rep
     chars = character_table(G).chars

@@ -5,7 +5,8 @@ factor, and any two of them commute, so they generate a rich supply of
 valid actions (inversion, the pq actions and the Z-group actions all arise
 this way).  Each sampled group goes through the whole pipeline: exact table
 validation, dimension vs orbital-sum consistency, and decider/oracle
-agreement under the regular representation.
+agreement, under the regular representation for order at most 12 and under
+the representation on the points of A for order at most 36.
 
 Regular-action wreath products and seeded named-family members of order at
 most 64 are swept too, under their natural representation and under it
@@ -31,6 +32,7 @@ from ostar.groups import (
     AbelianGroup,
     ActionHom,
     Automorphism,
+    PermRep,
     SemidirectGroup,
     WreathSpec,
     build_wreath,
@@ -117,8 +119,47 @@ def test_random_products_full_pipeline(seed):
         assert_pipeline_agrees(G, regular_rep(G), 2)
 
 
-WREATH_FACTORS = [([2], [2]), ([3], [2]), ([2], [3]), ([2], [4])]
 INDEX_BOUND = 20_000
+
+
+def points_rep(G):
+    """G on the points of A: (a, h) sends x to phi_h^-1(x + a), so A acts
+    by translations and H through phi, as a right action like the affine
+    natural reps.  The kernel is {(0, h) : phi_h = 1}, so the
+    representation is unfaithful whenever phi is."""
+    A, H = G.A, G.H
+    points = A.elements()
+    code = {x: i for i, x in enumerate(points)}
+    translations = [tuple(code[A.add(x, g)] for x in points) for g in A.generators()]
+    actions = [tuple(code[G.phi.apply(H.neg(g), x)] for x in points)
+               for g in H.generators()]
+    return PermRep(G, translations, actions)
+
+
+POINTS_SEEDS = [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("seed", POINTS_SEEDS)
+def test_random_products_on_the_points_of_A(seed):
+    cases = 0
+    for G in sample_groups(seed, count=4, max_order=36):
+        assert character_table(G).report.ok
+        rep = points_rep(G)
+        for n in (2, 3):
+            if n**rep.degree <= INDEX_BOUND:
+                assert_pipeline_agrees(G, rep, n)
+                cases += 1
+    assert cases > 0
+
+
+def test_points_reps_include_unfaithful_and_nonabelian_cases():
+    groups = [G for seed in POINTS_SEEDS for G in sample_groups(seed, count=4, max_order=36)]
+    assert any(not points_rep(G).is_faithful() for G in groups)
+    assert any(not G.is_abelian() and points_rep(G).is_faithful() for G in groups)
+    assert max(G.order for G in groups) > 12
+
+
+WREATH_FACTORS = [([2], [2]), ([3], [2]), ([2], [3]), ([2], [4])]
 
 
 def natural_and_padded_cases(G):
