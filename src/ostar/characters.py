@@ -16,8 +16,11 @@ greedy pass gives together with every element's coordinates.
 
 All values are exact CycloNums, and an IrredChar stores them once per
 conjugacy class (`values`, in `G.conjugacy_classes()` order) when it is
-built.  `character_table` bundles the characters of a group with the
-completeness and orthogonality report that guards every downstream decision.
+built.  A value is determined by its conductor and exponent multiset, so a
+memo on the group builds each such sum once and the cells that have it
+share that object.  `character_table` bundles the characters of a group
+with the completeness and orthogonality report that guards every
+downstream decision.
 """
 
 from __future__ import annotations
@@ -221,7 +224,8 @@ class IrredChar:
     a linear character U of the stabilizer H_x; degree |[x]| = [H : H_x].
     Its value at (a, h) is U(h) * sum over y in [x] of y(a) for h in H_x,
     and 0 otherwise.  `values` holds its exact value at each class of
-    `G.conjugacy_classes()`, evaluated once at the class's first element."""
+    `G.conjugacy_classes()`, read at the class's first element from the
+    group's memo of root sums, keyed on (N, sorted exponents mod N)."""
 
     def __init__(self, G: SemidirectGroup, orbit: DualOrbit, u: LinearChar):
         self.G = G
@@ -229,9 +233,15 @@ class IrredChar:
         self.u = u
         self.degree = len(orbit.members)
         self._stab_set = frozenset(orbit.stabilizer)
-        self.values = tuple(
-            self.value_uncached(cls[0]) for cls in G.conjugacy_classes()
-        )
+        memo = G._char_values
+        values = []
+        for cls in G.conjugacy_classes():
+            key = self._exponents(cls[0])
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = _root_sum(*key)
+            values.append(v)
+        self.values = tuple(values)
 
     def __repr__(self):
         return (
@@ -248,20 +258,28 @@ class IrredChar:
 
     def value_uncached(self, g) -> CycloNum:
         """Direct evaluation at g as one orbit sum of roots of unity, not
-        read from the stored class values.  The members of [x] take values
-        in the E-th roots of unity and U in the L-th, so the sum lies at
-        the conductor N = lcm(E, L) that reports print."""
+        read from the stored class values or the group's memo."""
+        return _root_sum(*self._exponents(g))
+
+    def _exponents(self, g):
+        """(N, the sorted exponents e mod N) with the value at g the sum of
+        the zeta_N^e.  The members of [x] take values in the E-th roots of
+        unity and U in the L-th, so the sum lies at the conductor
+        N = lcm(E, L) that reports print; off H_x it is the empty sum at
+        conductor 1."""
         a, h = g
         if h not in self._stab_set:
-            return CycloNum.zero()
+            return 1, ()
         E, L = self.orbit.rep.group.exponent, self.u.conductor
         N = math.lcm(E, L)
         t = N // L * self.u.value_exponent(h)
-        return sum(
-            (root_of_unity(N, N // E * y.value_exponent(a) + t)
-             for y in self.orbit.members),
-            CycloNum.zero(N),
-        )
+        return N, tuple(sorted((N // E * y.value_exponent(a) + t) % N
+                               for y in self.orbit.members))
+
+
+def _root_sum(N: int, exponents) -> CycloNum:
+    """The sum of zeta_N^e over the exponents, at conductor N."""
+    return sum((root_of_unity(N, e) for e in exponents), CycloNum.zero(N))
 
 
 def char_value_general(chi: IrredChar, g) -> CycloNum:
@@ -352,7 +370,12 @@ def _galois_step(vals, R, G: SemidirectGroup, E: int, u: int):
         lift += E
     pi = [G.class_index(_power(G, cls[0], lift)) for cls in G.conjugacy_classes()]
     sigma = [v._galois(u) for v in vals]
-    return pi, [next((c for c, d in enumerate(pi) if sigma[r[c]] != vals[r[d]]), None)
+    # the index of each sigma_u(v) in vals, or None; an index mismatch is
+    # confirmed exactly, since an equal value may sit at another conductor
+    ids = {(v.conductor, v.coeffs, v.den): a for a, v in enumerate(vals)}
+    at = [ids.get((v.conductor, v.coeffs, v.den)) for v in sigma]
+    return pi, [next((c for c, d in enumerate(pi)
+                      if at[r[c]] != r[d] and sigma[r[c]] != vals[r[d]]), None)
                 for r in R]
 
 
@@ -367,8 +390,9 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
          permutes the classes keeping their sizes, and a character's value
          at g^u' is its value at g under sigma_u: zeta_E -> zeta_E^u.
          _galois_step compares the two exactly, applying sigma_u once per
-         distinct value.  At u = -1 that is conjugate symmetry,
-         V[i][class of rep_c^-1] == conj(V[i][c]);
+         distinct value and comparing indices of distinct values, with an
+         exact comparison wherever the indices differ.  At u = -1 that is
+         conjugate symmetry, V[i][class of rep_c^-1] == conj(V[i][c]);
       3. the table is integral when every value is an algebraic integer
          (denominator 1), E <= CONDUCTOR_CAP and step 2 holds for u = -1
          and every u in _unit_generators(E).  Then every T_ij of an

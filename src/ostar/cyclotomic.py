@@ -23,6 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 __all__ = [
@@ -147,8 +148,8 @@ def _integral_terms(values, N):
     sparse (exponent of zeta_N, integer coefficient) pairs; N must be a
     multiple of every conductor."""
     D = math.lcm(*(v.den for v in values))
-    return [[(i * (N // v.conductor), c * (D // v.den))
-             for i, c in enumerate(v.coeffs) if c] for v in values]
+    return [[(i * (N // v.conductor), v.coeffs[i] * (D // v.den))
+             for i in compress(range(len(v.coeffs)), v.coeffs)] for v in values]
 
 
 def _images_mod(terms, N, p, w):

@@ -264,9 +264,7 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
 def _profile_value(chi, profile, order, alpha):
     """(stabilizer character sum, in Delta-bar, s_alpha) for a stabilizer
     of the given class profile and order; alpha names the orbit in errors."""
-    s = CycloNum.zero()
-    for c, k in profile:
-        s = s + chi.values[c] * k
+    s = _weighted_sum([chi.values[c] for c, _ in profile], [k for _, k in profile])
     try:
         q = (s * Fraction(chi.degree, order)).as_fraction()
     except ValueError as exc:
@@ -280,6 +278,24 @@ def _profile_value(chi, profile, order, alpha):
     return s, not s.is_zero(), int(q)
 
 
+def _weighted_sum(values, weights) -> CycloNum:
+    """sum_c w_c v_c for CycloNums v_c and integer weights w_c, equal, at
+    the lcm of the conductors, to adding the products w_c v_c one at a time
+    to CycloNum.zero().  The weights are summed per distinct value, and
+    each distinct value's integral terms are added once into one integer
+    vector over zeta_N, which is reduced modulo Phi_N once."""
+    vals, (index,) = _interned([values])
+    totals = [0] * len(vals)
+    for a, w in zip(index, weights):
+        totals[a] += w
+    N = math.lcm(*(v.conductor for v in vals))
+    vec = [0] * N
+    for terms, w in zip(_integral_terms(vals, N), totals):
+        for e, c in terms:
+            vec[e] += w * c
+    return CycloNum._make(N, vec, math.lcm(*(v.den for v in vals)))
+
+
 def dim_symmetry_class(G, rep, chi, n) -> int:
     """chi(e)/|G| times the sum over the group of chi(g) n^(cycle count);
     must come out an exact nonnegative integer.  Both factors are class
@@ -291,12 +307,13 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     cache = vars(rep).setdefault("_orbit_cache", {})
     if "cycles" not in cache:
         cache["cycles"] = [cycle_count(cls[0], rep) for cls in G.conjugacy_classes()]
-    total = CycloNum.zero()
+    values, weights = [], []
     for cls, c in zip(G.conjugacy_classes(), cache["cycles"]):
         v = chi.value(cls[0])
         if not v.is_zero():
-            total = total + v * (len(cls) * n ** c)
-    total = total * Fraction(chi.degree, G.order)
+            values.append(v)
+            weights.append(len(cls) * n ** c)
+    total = _weighted_sum(values, weights) * Fraction(chi.degree, G.order)
     try:
         q = total.as_fraction()
     except ValueError as exc:

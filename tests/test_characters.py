@@ -555,6 +555,54 @@ def test_validate_table_conjugate_symmetry_negative_control():
                for f in report.failures)
 
 
+class _Promoted:
+    """Wraps a character but stores its value at one conjugacy class at
+    twice its conductor, moved by offset: an equal value when offset is 0."""
+
+    def __init__(self, chi, bad_class, offset=0):
+        self._chi = chi
+        self._bad = bad_class
+        self._offset = offset
+        self.degree = chi.degree
+        self.G = chi.G
+
+    def value(self, g):
+        v = self._chi.value(g)
+        if self.G.class_index(g) == self._bad:
+            return v.promote(2 * v.conductor) + self._offset
+        return v
+
+
+def test_validate_table_galois_index_path_controls():
+    # _galois_step compares indices of distinct values, keyed on the stored
+    # conductor: an equal value kept at a larger conductor gets its own
+    # index, so the exact comparison must clear it, and must still catch a
+    # value off by one there
+    G = group_pq(3, 7, 2)
+    classes = G.conjugacy_classes()
+    bad = next(
+        c for c, cls in enumerate(classes)
+        if G.class_index(G.inv(cls[0])) != c
+    )
+    chars = list(character_table(G).chars)
+    v = chars[1].values[bad]
+    promoted = _Promoted(chars[1], bad_class=bad)
+    w = promoted.value(classes[bad][0])
+    assert w == v and w.conductor == 2 * v.conductor
+    chars[1] = promoted
+    report = validate_table(chars, G)
+    assert report.checks["conjugate_symmetry"]
+    assert report.ok
+    assert report == per_element_report(chars, G)
+    chars[1] = _Promoted(character_table(G).chars[1], bad_class=bad, offset=1)
+    report = validate_table(chars, G)
+    assert not report.checks["conjugate_symmetry"]
+    first = min(bad, G.class_index(G.inv(classes[bad][0])))
+    assert (f"conjugate symmetry failed for character 1 at {classes[first][0]}"
+            in report.failures)
+    assert report == per_element_report(chars, G)
+
+
 def class_function_groups():
     """(label, G): the acceptance table suite's groups and the random
     sweep's groups."""
@@ -613,6 +661,46 @@ def test_stored_class_values_match_direct_evaluation():
             for c, cls in enumerate(classes):
                 assert chi.values[c] == chi.value_uncached(cls[0]), (label, c)
                 assert chi.value(cls[-1]) is chi.values[c], (label, c)
+
+
+def reference_cell_key(chi, g):
+    """(N, sorted exponents mod N) of chi's orbit sum at g = (a, h), read
+    from the orbit members and U; (1, ()) when h is off the stabilizer."""
+    a, h = g
+    if h not in chi.orbit.stabilizer:
+        return 1, ()
+    E, L = chi.orbit.rep.group.exponent, chi.u.conductor
+    N = math.lcm(E, L)
+    t = N // L * chi.u.value_exponent(h)
+    return N, tuple(sorted((N // E * y.value_exponent(a) + t) % N
+                           for y in chi.orbit.members))
+
+
+def test_irred_chars_builds_one_value_per_exponent_multiset(monkeypatch):
+    # cells with equal (N, exponent multiset) share one CycloNum, and each
+    # distinct multiset is summed exactly once per group
+    built = []
+    root_sum = characters._root_sum
+
+    def counting(N, exponents):
+        built.append((N, exponents))
+        return root_sum(N, exponents)
+
+    monkeypatch.setattr(characters, "_root_sum", counting)
+    # fresh groups, whose memos are empty: suite_group caches its groups
+    groups = [(name, suite_group.__wrapped__(name)) for name in TABLE_SUITE]
+    groups += [(f"random{seed}.{i}", G) for seed in (1, 2)
+               for i, G in enumerate(sample_groups(seed, count=4, max_order=12))]
+    cells = 0
+    for label, G in groups:
+        built.clear()
+        by_key = {}
+        for chi in irred_chars(G):
+            for cls, v in zip(G.conjugacy_classes(), chi.values):
+                assert by_key.setdefault(reference_cell_key(chi, cls[0]), v) is v, label
+                cells += 1
+        assert sorted(built) == sorted(by_key), label
+    assert cells > len(built)
 
 
 def test_validate_table_matches_per_element_sums():

@@ -512,6 +512,85 @@ def test_orbit_scan_matches_per_element_sums(n):
     assert checked > 0
 
 
+def loop_dim_total(G, rep, chi, n):
+    """dim_symmetry_class's class-weighted sum as it was before
+    _weighted_sum, kept verbatim: one CycloNum product and sum per class."""
+    total = CycloNum.zero()
+    for cls in G.conjugacy_classes():
+        c = cycle_count(cls[0], rep)
+        v = chi.value(cls[0])
+        if not v.is_zero():
+            total = total + v * (len(cls) * n ** c)
+    return total
+
+
+def loop_profile_sum(chi, profile):
+    """_profile_value's stabilizer sum as it was before _weighted_sum, kept
+    verbatim."""
+    s = CycloNum.zero()
+    for c, k in profile:
+        s = s + chi.values[c] * k
+    return s
+
+
+def weighted_sum_rows(G):
+    """Each character of G, then copies moved at some classes by 1/2, -3,
+    zeta_3, minus the class value (a zero at the lcm of its conductor and
+    5) and a mix of those: rows of mixed conductors and denominators."""
+    k = len(G.conjugacy_classes())
+    for chi in character_table(G).chars:
+        cancel = -chi.values[k - 1] + CycloNum.zero(5)
+        yield chi
+        for t in (Fraction(1, 2), -3, root_of_unity(3, 1), cancel):
+            yield corrupted(chi, {k - 1: t})
+        yield corrupted(chi, {0: Fraction(1, 2), k // 2: root_of_unity(3, 1),
+                              k - 1: cancel})
+
+
+def test_weighted_sum_matches_cyclonum_loop():
+    # _weighted_sum against the loops it replaced: equal value, conductor
+    # and printed form for the dimension weights and every stabilizer
+    # profile of the table suite's natural reps and the random sweep's
+    # regular reps
+    cases = [(name, suite_group(name)) for name in TABLE_SUITE]
+    cases = [(name, G, G.natural_rep) for name, G in cases]
+    cases += [
+        (f"random{seed}.{i}", G, regular_rep(G))
+        for seed in (1, 2)
+        for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
+    ]
+    checked = 0
+    for label, G, rep in cases:
+        classes = G.conjugacy_classes()
+        cycles = [cycle_count(cls[0], rep) for cls in classes]
+        profiles = [
+            profile
+            for n in (2, 3) if n ** rep.degree <= 20000
+            for profile in symclass._class_profiles(
+                G, rep, rep.degree, n,
+                _orbit_partition(G, rep, rep.degree, n, DEFAULT_INDEX_BUDGET))[1]
+        ]
+        for chi in weighted_sum_rows(G):
+            for n in (2, 3):
+                pairs = [(v, len(cls) * n ** c)
+                         for cls, c, v in zip(classes, cycles, chi.values)
+                         if not v.is_zero()]
+                got = symclass._weighted_sum(*zip(*pairs))
+                want = loop_dim_total(G, rep, chi, n)
+                assert (got, got.conductor, str(got)) == (
+                    want, want.conductor, str(want)), (label, n)
+                checked += 1
+            for profile in profiles:
+                got = symclass._weighted_sum([chi.values[c] for c, _ in profile],
+                                             [k for _, k in profile])
+                want = loop_profile_sum(chi, profile)
+                assert (got, got.conductor, str(got)) == (
+                    want, want.conductor, str(want)), (label, profile)
+                checked += 1
+    assert symclass._weighted_sum([], []) == 0
+    assert checked > 0
+
+
 def test_inner_product_examples():
     alpha = (1, 1, 2)
     # alpha is in Delta-bar: norm squared is (2/6)(chi(e) + chi((12))) = 2/3
