@@ -16,11 +16,11 @@ greedy pass gives together with every element's coordinates.
 
 All values are exact CycloNums, and an IrredChar stores them once per
 conjugacy class (`values`, in `G.conjugacy_classes()` order) when it is
-built.  A value is determined by its conductor and exponent multiset, so a
-memo on the group builds each such sum once and the cells that have it
-share that object.  `character_table` bundles the characters of a group
-with the completeness and orthogonality report that guards every
-downstream decision.
+built, and every table reader takes them.  A value is determined by its
+conductor and exponent multiset, so one memo per `irred_chars` call builds
+each such sum once and the cells that have it share that object.
+`character_table` bundles the characters of a group with the completeness
+and orthogonality report that guards every downstream decision.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .cyclotomic import (
     _images_mod,
     _integral_terms,
     _interned,
+    _weighted_sum,
     cyclo_csv,
     root_of_unity,
 )
@@ -224,16 +225,16 @@ class IrredChar:
     a linear character U of the stabilizer H_x; degree |[x]| = [H : H_x].
     Its value at (a, h) is U(h) * sum over y in [x] of y(a) for h in H_x,
     and 0 otherwise.  `values` holds its exact value at each class of
-    `G.conjugacy_classes()`, read at the class's first element from the
-    group's memo of root sums, keyed on (N, sorted exponents mod N)."""
+    `G.conjugacy_classes()`, read at the class's first element from memo:
+    the dict of root sums keyed on (N, sorted exponents mod N) that one
+    irred_chars call shares among its characters."""
 
-    def __init__(self, G: SemidirectGroup, orbit: DualOrbit, u: LinearChar):
+    def __init__(self, G: SemidirectGroup, orbit: DualOrbit, u: LinearChar, memo):
         self.G = G
         self.orbit = orbit
         self.u = u
         self.degree = len(orbit.members)
         self._stab_set = frozenset(orbit.stabilizer)
-        memo = G._char_values
         values = []
         for cls in G.conjugacy_classes():
             key = self._exponents(cls[0])
@@ -258,7 +259,7 @@ class IrredChar:
 
     def value_uncached(self, g) -> CycloNum:
         """Direct evaluation at g as one orbit sum of roots of unity, not
-        read from the stored class values or the group's memo."""
+        read from the stored class values or the build memo."""
         return _root_sum(*self._exponents(g))
 
     def _exponents(self, g):
@@ -279,7 +280,7 @@ class IrredChar:
 
 def _root_sum(N: int, exponents) -> CycloNum:
     """The sum of zeta_N^e over the exponents, at conductor N."""
-    return sum((root_of_unity(N, e) for e in exponents), CycloNum.zero(N))
+    return _weighted_sum([root_of_unity(N, e) for e in exponents], [1] * len(exponents))
 
 
 def char_value_general(chi: IrredChar, g) -> CycloNum:
@@ -307,9 +308,10 @@ def irred_chars(G: SemidirectGroup) -> tuple[IrredChar, ...]:
     """The complete list of irreducible characters of G, ordered by dual
     orbit representative and then by the stabilizer character."""
     chars = []
+    memo = {}
     for orbit in dual_orbits(G.A, G.H, G.phi):
         for u in dual_of_subgroup(orbit.stabilizer, G.H):
-            chars.append(IrredChar(G, orbit, u))
+            chars.append(IrredChar(G, orbit, u, memo))
     if sum(c.degree**2 for c in chars) != G.order:
         raise ConsistencyError("character degrees do not sum in squares to |G|")
     if len(chars) != len(G.conjugacy_classes()):
@@ -370,10 +372,9 @@ def _galois_step(vals, R, G: SemidirectGroup, E: int, u: int):
         lift += E
     pi = [G.class_index(_power(G, cls[0], lift)) for cls in G.conjugacy_classes()]
     sigma = [v._galois(u) for v in vals]
-    # the index of each sigma_u(v) in vals, or None; an index mismatch is
-    # confirmed exactly, since an equal value may sit at another conductor
-    ids = {(v.conductor, v.coeffs, v.den): a for a, v in enumerate(vals)}
-    at = [ids.get((v.conductor, v.coeffs, v.den)) for v in sigma]
+    # the index of each sigma_u(v) in vals, past its end if not found; a
+    # mismatch is confirmed exactly: an equal value may sit at another conductor
+    at = _interned([vals, sigma])[1][1]
     return pi, [next((c for c, d in enumerate(pi)
                       if at[r[c]] != r[d] and sigma[r[c]] != vals[r[d]]), None)
                 for r in R]
@@ -410,7 +411,7 @@ def validate_table(chars, G: SemidirectGroup) -> TableReport:
     """
     classes = G.conjugacy_classes()
     sizes = [len(cls) for cls in classes]
-    V = [[chi.value(cls[0]) for cls in classes] for chi in chars]
+    V = [chi.values for chi in chars]
     failures = []
 
     total = CycloNum.zero()
@@ -489,8 +490,8 @@ def validated_table(G: SemidirectGroup) -> CharTable:
 def zero_set(chi: IrredChar) -> frozenset:
     """All group elements where the character vanishes (exact test)."""
     out = []
-    for cls in chi.G.conjugacy_classes():
-        if chi.value(cls[0]).is_zero():
+    for cls, v in zip(chi.G.conjugacy_classes(), chi.values):
+        if v.is_zero():
             out.extend(cls)
     return frozenset(out)
 

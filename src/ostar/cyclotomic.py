@@ -10,11 +10,11 @@ pass.  Floating point never participates in any decision; ``evalf`` exists
 for oracles and reports only.
 
 Also home to the numerical-semigroup membership test behind the vanishing
-sums-of-roots-of-unity criterion, and to three helpers that the certified
-character-table validation and the certified Gram rank share: the search
-for a prime p = 1 (mod N) with a root w of Phi_N mod p, the images of
-values under zeta_N -> w, and the interning of a matrix's distinct values,
-which the chartable JSON and CSV writers use too.
+sums-of-roots-of-unity criterion, and to the helpers that own decisions
+about many values at once: _interned keys them on (conductor, coeffs,
+den), _weighted_sum takes an integer combination in one integer vector,
+and _cyclotomic_root_mod, _integral_terms and _images_mod give images
+under zeta_N -> w mod p for the certified table validation and Gram rank.
 """
 
 from __future__ import annotations
@@ -141,6 +141,24 @@ def _interned(rows):
     index = [[ids.setdefault((v.conductor, v.coeffs, v.den), len(ids)) for v in row]
              for row in rows]
     return [CycloNum(*key) for key in ids], index
+
+
+def _weighted_sum(values, weights) -> CycloNum:
+    """sum_c w_c v_c for CycloNums v_c and integer weights w_c, equal, at
+    the lcm N of the conductors, to adding each w_c v_c to CycloNum.zero().
+    Each value's nonzero coefficients, over the lcm D of the denominators,
+    go straight into one vector over zeta_N that ends at the highest power
+    reached, so values at conductor N need no reduction modulo Phi_N."""
+    N = math.lcm(*(v.conductor for v in values))
+    D = math.lcm(*(v.den for v in values))
+    top = max(((len(v.coeffs) - 1) * (N // v.conductor) for v in values), default=0)
+    vec = [0] * (top + 1)
+    for v, w in zip(values, weights):
+        k, w = N // v.conductor, w * (D // v.den)
+        cs = v.coeffs
+        for i in compress(range(len(cs)), cs):
+            vec[i * k] += w * cs[i]
+    return CycloNum._make(N, vec, D)
 
 
 def _integral_terms(values, N):

@@ -336,8 +336,6 @@ class SemidirectGroup:
         self._class_of = None
         self._cols = {}
         self._char_table = None
-        # IrredChar's class values, one per (conductor, exponent multiset)
-        self._char_values = {}
         self._subgroups = None
 
     def __repr__(self):

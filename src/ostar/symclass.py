@@ -20,7 +20,7 @@ from itertools import compress
 from operator import eq, getitem
 
 from .cyclotomic import (CycloNum, _cyclotomic_root_mod, _images_mod, _integral_terms,
-                         _interned)
+                         _interned, _weighted_sum)
 from .errors import BudgetError, ConsistencyError
 from .groups import PermRep, SemidirectGroup, count_text, perm_cycle_count
 
@@ -278,24 +278,6 @@ def _profile_value(chi, profile, order, alpha):
     return s, not s.is_zero(), int(q)
 
 
-def _weighted_sum(values, weights) -> CycloNum:
-    """sum_c w_c v_c for CycloNums v_c and integer weights w_c, equal, at
-    the lcm of the conductors, to adding the products w_c v_c one at a time
-    to CycloNum.zero().  The weights are summed per distinct value, and
-    each distinct value's integral terms are added once into one integer
-    vector over zeta_N, which is reduced modulo Phi_N once."""
-    vals, (index,) = _interned([values])
-    totals = [0] * len(vals)
-    for a, w in zip(index, weights):
-        totals[a] += w
-    N = math.lcm(*(v.conductor for v in vals))
-    vec = [0] * N
-    for terms, w in zip(_integral_terms(vals, N), totals):
-        for e, c in terms:
-            vec[e] += w * c
-    return CycloNum._make(N, vec, math.lcm(*(v.den for v in vals)))
-
-
 def dim_symmetry_class(G, rep, chi, n) -> int:
     """chi(e)/|G| times the sum over the group of chi(g) n^(cycle count);
     must come out an exact nonnegative integer.  Both factors are class
@@ -304,16 +286,12 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     class is computed once per representation and cached on it."""
     _require_same_group(G, rep, chi)
     _require_positive_n(n)
+    classes = G.conjugacy_classes()
     cache = vars(rep).setdefault("_orbit_cache", {})
     if "cycles" not in cache:
-        cache["cycles"] = [cycle_count(cls[0], rep) for cls in G.conjugacy_classes()]
-    values, weights = [], []
-    for cls, c in zip(G.conjugacy_classes(), cache["cycles"]):
-        v = chi.value(cls[0])
-        if not v.is_zero():
-            values.append(v)
-            weights.append(len(cls) * n ** c)
-    total = _weighted_sum(values, weights) * Fraction(chi.degree, G.order)
+        cache["cycles"] = [cycle_count(cls[0], rep) for cls in classes]
+    weights = [len(cls) * n ** c for cls, c in zip(classes, cache["cycles"])]
+    total = _weighted_sum(chi.values, weights) * Fraction(chi.degree, G.order)
     try:
         q = total.as_fraction()
     except ValueError as exc:

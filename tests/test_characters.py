@@ -5,10 +5,12 @@ float evaluation, exhaustive class-function checks, and the general
 conjugation-sum evaluation run against the abelian fast path.
 """
 
+import copy
 import io
 import math
 from fractions import Fraction
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +33,7 @@ from ostar.characters import (
 )
 from ostar.cyclotomic import CycloNum, cyclotomic_polynomial, root_of_unity
 from ostar.errors import ConsistencyError
+from ostar.symclass import dim_symmetry_class
 from ostar.groups import (
     AbelianGroup,
     ActionHom,
@@ -515,25 +518,23 @@ def test_validate_table_passes(G):
     assert sum(c.degree**2 for c in table.chars) == G.order
 
 
-class _Corrupted:
-    """Wraps a character but lies at one conjugacy class."""
+def _revalued(chi, values):
+    """A copy of chi with the given class values, which its value(g) reads."""
+    out = copy.copy(chi)
+    out.values = tuple(values)
+    return out
 
-    def __init__(self, chi, bad_class):
-        self._chi = chi
-        self._bad = bad_class
-        self.degree = chi.degree
-        self.G = chi.G
 
-    def value(self, g):
-        if self.G.class_index(g) == self._bad:
-            return self._chi.value(g) + 1
-        return self._chi.value(g)
+def _corrupted(chi, bad_class):
+    """A copy of a character that lies at one conjugacy class."""
+    return _revalued(chi, (v + 1 if c == bad_class else v
+                           for c, v in enumerate(chi.values)))
 
 
 def test_validate_table_negative_control():
     G = dihedral(3)
     chars = list(character_table(G).chars)
-    chars[2] = _Corrupted(chars[2], bad_class=1)
+    chars[2] = _corrupted(chars[2], bad_class=1)
     report = validate_table(chars, G)
     assert not report.ok
     assert not report.checks["orthogonality"]
@@ -548,29 +549,18 @@ def test_validate_table_conjugate_symmetry_negative_control():
         if G.class_index(G.inv(cls[0])) != c
     )
     chars = list(character_table(G).chars)
-    chars[1] = _Corrupted(chars[1], bad_class=bad)
+    chars[1] = _corrupted(chars[1], bad_class=bad)
     report = validate_table(chars, G)
     assert not report.checks["conjugate_symmetry"]
     assert any(f.startswith("conjugate symmetry failed for character 1 at ")
                for f in report.failures)
 
 
-class _Promoted:
-    """Wraps a character but stores its value at one conjugacy class at
+def _promoted(chi, bad_class, offset=0):
+    """A copy of a character that stores its value at one conjugacy class at
     twice its conductor, moved by offset: an equal value when offset is 0."""
-
-    def __init__(self, chi, bad_class, offset=0):
-        self._chi = chi
-        self._bad = bad_class
-        self._offset = offset
-        self.degree = chi.degree
-        self.G = chi.G
-
-    def value(self, g):
-        v = self._chi.value(g)
-        if self.G.class_index(g) == self._bad:
-            return v.promote(2 * v.conductor) + self._offset
-        return v
+    return _revalued(chi, (v.promote(2 * v.conductor) + offset if c == bad_class else v
+                           for c, v in enumerate(chi.values)))
 
 
 def test_validate_table_galois_index_path_controls():
@@ -586,7 +576,7 @@ def test_validate_table_galois_index_path_controls():
     )
     chars = list(character_table(G).chars)
     v = chars[1].values[bad]
-    promoted = _Promoted(chars[1], bad_class=bad)
+    promoted = _promoted(chars[1], bad_class=bad)
     w = promoted.value(classes[bad][0])
     assert w == v and w.conductor == 2 * v.conductor
     chars[1] = promoted
@@ -594,7 +584,7 @@ def test_validate_table_galois_index_path_controls():
     assert report.checks["conjugate_symmetry"]
     assert report.ok
     assert report == per_element_report(chars, G)
-    chars[1] = _Promoted(character_table(G).chars[1], bad_class=bad, offset=1)
+    chars[1] = _promoted(character_table(G).chars[1], bad_class=bad, offset=1)
     report = validate_table(chars, G)
     assert not report.checks["conjugate_symmetry"]
     first = min(bad, G.class_index(G.inv(classes[bad][0])))
@@ -687,7 +677,7 @@ def test_irred_chars_builds_one_value_per_exponent_multiset(monkeypatch):
         return root_sum(N, exponents)
 
     monkeypatch.setattr(characters, "_root_sum", counting)
-    # fresh groups, whose memos are empty: suite_group caches its groups
+    # fresh groups: suite_group caches its groups and their tables
     groups = [(name, suite_group.__wrapped__(name)) for name in TABLE_SUITE]
     groups += [(f"random{seed}.{i}", G) for seed in (1, 2)
                for i, G in enumerate(sample_groups(seed, count=4, max_order=12))]
@@ -703,6 +693,23 @@ def test_irred_chars_builds_one_value_per_exponent_multiset(monkeypatch):
     assert cells > len(built)
 
 
+def test_table_readers_take_class_values():
+    # validate_table, dim_symmetry_class and zero_set read a character
+    # through its degree, group and class values alone
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        rep = G.natural_rep
+        chars = character_table(G).chars
+        bare = [SimpleNamespace(G=G, degree=chi.degree, values=chi.values)
+                for chi in chars]
+        assert validate_table(bare, G) == validate_table(chars, G), name
+        for chi, b in zip(chars, bare):
+            assert zero_set(b) == zero_set(chi), name
+            for n in (2, 3):
+                assert (dim_symmetry_class(G, rep, b, n)
+                        == dim_symmetry_class(G, rep, chi, n)), (name, n)
+
+
 def test_validate_table_matches_per_element_sums():
     for label, G in class_function_groups():
         chars = character_table(G).chars
@@ -711,41 +718,23 @@ def test_validate_table_matches_per_element_sums():
     for G, idx in ((dihedral(3), 2), (group_pq(3, 7, 2), 1)):
         for bad in range(1, len(G.conjugacy_classes())):
             chars = list(character_table(G).chars)
-            chars[idx] = _Corrupted(chars[idx], bad_class=bad)
+            chars[idx] = _corrupted(chars[idx], bad_class=bad)
             report = validate_table(chars, G)
             assert not report.ok
             assert report == per_element_report(chars, G), (G, bad)
 
 
-class _Scaled:
-    """Wraps a character but scales its value at one conjugacy class, or at
-    every class if none is given."""
-
-    def __init__(self, chi, factor, bad_class=None):
-        self._chi = chi
-        self._factor = factor
-        self._bad = bad_class
-        self.degree = chi.degree
-        self.G = chi.G
-
-    def value(self, g):
-        if self._bad in (None, self.G.class_index(g)):
-            return self._chi.value(g) * self._factor
-        return self._chi.value(g)
+def _scaled(chi, factor, bad_class=None):
+    """A copy of a character that scales its value at one conjugacy class,
+    or at every class if none is given."""
+    return _revalued(chi, (v * factor if bad_class in (None, c) else v
+                           for c, v in enumerate(chi.values)))
 
 
-class _Swapped:
-    """Wraps a character but exchanges its values at classes c and d."""
-
-    def __init__(self, chi, c, d):
-        self._chi = chi
-        self._swap = {c: d, d: c}
-        self.degree = chi.degree
-        self.G = chi.G
-
-    def value(self, g):
-        k = self.G.class_index(g)
-        return self._chi.values[self._swap.get(k, k)]
+def _swapped(chi, c, d):
+    """A copy of a character that exchanges its values at classes c and d."""
+    swap = {c: d, d: c}
+    return _revalued(chi, (chi.values[swap.get(k, k)] for k in range(len(chi.values))))
 
 
 @pytest.fixture
@@ -782,12 +771,12 @@ def _mutated_tables():
         nonlinear = next(i for i, chi in enumerate(chars) if chi.degree > 1)
         for bad in range(1, len(G.conjugacy_classes())):
             mutated = list(chars)
-            mutated[nonlinear] = _Corrupted(chars[nonlinear], bad_class=bad)
+            mutated[nonlinear] = _corrupted(chars[nonlinear], bad_class=bad)
             yield f"{G} corrupted at class {bad}", mutated, G
             if chars[nonlinear].values[bad].is_zero():
                 continue
             mutated = list(chars)
-            mutated[nonlinear] = _Scaled(chars[nonlinear], Fraction(1, 2), bad)
+            mutated[nonlinear] = _scaled(chars[nonlinear], Fraction(1, 2), bad)
             yield f"{G} halved at class {bad}", mutated, G
         # both rows linear, so the degree sum still holds
         assert chars[0].degree == chars[1].degree == 1
@@ -802,14 +791,14 @@ def _mutated_tables():
     nonreal = next(c for c in range(len(classes)) if G.inv(classes[c][0]) not in classes[c])
     assert len(classes[real]) == len(classes[nonreal])
     chars = character_table(G).chars
-    yield f"{G} classes swapped", [_Swapped(chi, real, nonreal) for chi in chars], G
+    yield f"{G} classes swapped", [_swapped(chi, real, nonreal) for chi in chars], G
     # the first linear row doubled, with the degree-2 row and no others,
     # keeps the degree sum (4 + 4 = 8) and the relation between the two
     # rows; only the diagonal relation fails
     G = dihedral(4)
     chars = character_table(G).chars
     assert [chi.degree for chi in chars] == [1, 1, 2, 1, 1]
-    yield f"{G} doubled row", [_Scaled(chars[0], 2), chars[2]], G
+    yield f"{G} doubled row", [_scaled(chars[0], 2), chars[2]], G
 
 
 def test_table_certificate_rejects_mutated_tables():

@@ -26,7 +26,7 @@ from ostar.groups import (
     regular_rep,
     z_group,
 )
-from ostar import symclass
+from ostar import characters, cyclotomic, symclass
 from ostar.characters import character_table
 from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
@@ -321,18 +321,9 @@ def test_linear_character_orbital_dimensions_in_01():
 
 
 def test_dim_rejects_broken_character():
-    class Corrupted:
-        G = D6
-        degree = CHI2.degree
-
-        def value(self, g):
-            # lie at the rotation class; the exact result stops being integral
-            if D6.class_index(g) == 2:
-                return CHI2.value(g) + 1
-            return CHI2.value(g)
-
+    # lie at the rotation class; the exact result stops being integral
     with pytest.raises(ConsistencyError):
-        dim_symmetry_class(D6, D6_REP, Corrupted(), 2)
+        dim_symmetry_class(D6, D6_REP, corrupted(CHI2, {2: 1}), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -524,6 +515,11 @@ def loop_dim_total(G, rep, chi, n):
     return total
 
 
+def loop_root_sum(N, exponents):
+    """characters._root_sum as it was before _weighted_sum, kept verbatim."""
+    return sum((root_of_unity(N, e) for e in exponents), CycloNum.zero(N))
+
+
 def loop_profile_sum(chi, profile):
     """_profile_value's stabilizer sum as it was before _weighted_sum, kept
     verbatim."""
@@ -560,8 +556,11 @@ def test_weighted_sum_matches_cyclonum_loop():
         for i, G in enumerate(sample_groups(seed, count=4, max_order=12))
     ]
     checked = 0
+    root_keys = {(1, ())}
     for label, G, rep in cases:
         classes = G.conjugacy_classes()
+        root_keys.update(chi._exponents(cls[0]) for chi in character_table(G).chars
+                         for cls in classes)
         cycles = [cycle_count(cls[0], rep) for cls in classes]
         profiles = [
             profile
@@ -587,8 +586,43 @@ def test_weighted_sum_matches_cyclonum_loop():
                 assert (got, got.conductor, str(got)) == (
                     want, want.conductor, str(want)), (label, profile)
                 checked += 1
+    for N, exponents in sorted(root_keys):
+        got = characters._root_sum(N, exponents)
+        want = loop_root_sum(N, exponents)
+        assert (got, got.conductor, str(got)) == (
+            want, want.conductor, str(want)), (N, exponents)
+        checked += 1
     assert symclass._weighted_sum([], []) == 0
     assert checked > 0
+
+
+def test_dimension_and_orbit_sums_intern_no_values(monkeypatch):
+    # the dimension and stabilizer sums add each value's terms straight
+    # into one integer vector: no call of _interned, through any binding
+    calls = []
+    interned = cyclotomic._interned
+
+    def counting(rows):
+        calls.append(1)
+        return interned(rows)
+
+    for module in (cyclotomic, characters, symclass):
+        monkeypatch.setattr(module, "_interned", counting)
+    summed = 0
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        rep = G.natural_rep
+        chars = character_table(G).chars
+        calls.clear()
+        for chi in chars:
+            for n in (2, 3):
+                dim_symmetry_class(G, rep, chi, n)
+                summed += 1
+                if n ** rep.degree <= 20000:
+                    orbit_scan(G, rep, chi, rep.degree, n)
+                    summed += 1
+        assert not calls, name
+    assert summed > 0
 
 
 def test_inner_product_examples():
