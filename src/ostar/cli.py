@@ -7,14 +7,15 @@ text rendered once per orbit, and chartable values from text rendered once
 per distinct value.
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
-invalid or output not writable, 3 budget refused, 4 internal consistency
-failure.
+invalid or output (a path or stdout) not writable, 3 budget refused, 4
+internal consistency failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -595,6 +596,18 @@ def _write_csv_outputs(cfg, G, report, out_path: Path) -> list:
     return written
 
 
+def _write_stdout(text):
+    """Write and flush text to stdout.  A stdout that refuses it (a closed
+    pipe, say) is an unwritable output, and goes to os.devnull so that the
+    interpreter's flush at exit adds nothing to stderr."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ostar",
@@ -632,7 +645,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.command == "validate":
             build_job(cfg)
-            print("ok")
+            _write_stdout("ok\n")
             return EXIT_OK
 
         if args.command == "chartable":
@@ -653,7 +666,7 @@ def main(argv=None) -> int:
         report = _run_tasks(cfg, G, rep)
         payload = report_bytes(report)
         if not out:
-            sys.stdout.write(payload.decode())
+            _write_stdout(payload.decode())
             return EXIT_OK
         try:
             Path(out).write_bytes(payload)

@@ -37,10 +37,10 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
-    _orbits,
     _require_positive_n,
     _require_same_group,
     _right_coset_reps,
+    _trivial_stabilizer_alpha,
     coset_sums,
     dim_symmetry_class,
     orbit_scan,
@@ -134,37 +134,28 @@ class TrivialStabilizerSearch:
 def find_trivial_stabilizer_alpha(G, rep, n, index_budget=DEFAULT_INDEX_BUDGET):
     """Lex-min multi-index of length rep.degree with trivial stabilizer.
     When n^degree fits the budget it is the representative of the first
-    orbit with trivial stabilizer, where the orbit walk stops: orbits come
-    in ascending order of their lex-min members, and members of one orbit
-    have conjugate stabilizers.  Beyond the budget the regular
+    orbit with trivial stabilizer, as the orbit walk records it: orbits
+    come in ascending order of their lex-min members, and members of one
+    orbit have conjugate stabilizers.  Beyond the budget the regular
     representation still yields a verified witness (a single distinguished
     letter at the identity's position) without walking.  An unfaithful
-    representation has none: its kernel lies in every stabilizer.  The
-    outcome of a walk is kept in rep._orbit_cache under ("alpha", n), read
-    only after _orbits has made its refusals."""
+    representation has none: its kernel lies in every stabilizer."""
     _require_same_group(G, rep)
     _require_positive_n(n)
     if not rep.is_faithful():
         return TrivialStabilizerSearch(None, True, False)
-    m = rep.degree
     try:
-        orbits = _orbits(G, rep, m, n, index_budget)
+        alpha = _trivial_stabilizer_alpha(G, rep, n, index_budget)
     except BudgetError:
         if rep.kind == "regular" and n >= 2:
-            alpha = tuple(2 if i == 0 else 1 for i in range(m))
+            alpha = tuple(2 if i == 0 else 1 for i in range(rep.degree))
             if len(stabilizer(alpha, G, rep)) != 1:
                 raise ConsistencyError(
                     "regular-representation fast path produced a stabilized index"
                 )
             return TrivialStabilizerSearch(alpha, False, True)
         return TrivialStabilizerSearch(None, False, False)
-    key = ("alpha", n)
-    search = rep._orbit_cache.get(key)
-    if search is None:
-        first = next((alpha for alpha, _, stab in orbits if len(stab) == 1), None)
-        search = rep._orbit_cache[key] = TrivialStabilizerSearch(
-            first, first is None, False)
-    return search
+    return TrivialStabilizerSearch(alpha, alpha is None, False)
 
 
 def _require_validated(G, rep, chi):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -149,8 +150,11 @@ def _orbits(G, rep, m, n, index_budget):
 
 
 def _walk_orbits(G, rep, m, n, cache):
-    """Yield the orbits as _orbits lists them; the list goes into
-    cache[(m, n)] only when the walk ends, so a caller may stop early.
+    """Yield the orbits as _orbits lists them.  On the way, cache gets
+    ("alpha", n), the first alpha with trivial stabilizer (None if there is
+    none), before that orbit is yielded; at the end, ("profiles", m, n),
+    each orbit's profile id and the distinct profiles with their first
+    alphas, and (m, n), the list, so a caller may stop early.
 
     Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
     rep.perms[code(g)], so the code of alpha.g is the sum over j of
@@ -180,8 +184,12 @@ def _walk_orbits(G, rep, m, n, cache):
         for j in range(m)
     ]
     nbytes = 4 * G.order
+    class_of = G.class_of
     visited = bytearray(total)
     parts = []
+    by_stab = {}
+    profiles = {}  # profile -> (id, first alpha)
+    ids = []
     code = 0
     while code >= 0:
         alpha = index_from_code(code, m, n)
@@ -193,9 +201,18 @@ def _walk_orbits(G, rep, m, n, cache):
             visited[c] = 1
         if len(orbit) * len(stab) != G.order:
             raise ConsistencyError("orbit-stabilizer count failed on Gamma_{m,n}")
+        i = by_stab.get(stab)
+        if i is None:
+            profile = tuple(sorted(Counter(map(class_of.__getitem__, stab)).items()))
+            i = by_stab[stab] = profiles.setdefault(profile, (len(profiles), alpha))[0]
+            if len(stab) == 1:
+                cache[("alpha", n)] = alpha
+        ids.append(i)
         parts.append((alpha, len(orbit), stab))
         yield parts[-1]
         code = visited.find(0, code + 1)
+    cache.setdefault(("alpha", n), None)
+    cache[("profiles", m, n)] = (ids, [(p, a) for p, (_, a) in profiles.items()])
     cache[(m, n)] = parts
 
 
@@ -207,66 +224,44 @@ def _orbit_partition(G, rep, m, n, index_budget):
     return rep._orbit_cache[(m, n)]
 
 
-def _class_profiles(G, rep, m, n, parts):
-    """Profile ids per orbit of the partition and the distinct profiles in
-    order of first occurrence.  A stabilizer's profile is its sorted
-    (class index, count) pairs over the conjugacy classes it meets.  Cached
-    with the partition, since no character enters it."""
-    key = ("profiles", m, n)
-    cached = rep._orbit_cache.get(key)
-    if cached is not None:
-        return cached
-    class_of = G.class_of
-    by_stab = {}
-    index = {}
-    ids = []
-    for _, _, stab in parts:
-        i = by_stab.get(stab)
-        if i is None:
-            counts = {}
-            for h in stab:
-                c = class_of[h]
-                counts[c] = counts.get(c, 0) + 1
-            profile = tuple(sorted(counts.items()))
-            i = by_stab[stab] = index.setdefault(profile, len(index))
-        ids.append(i)
-    cached = (ids, list(index))
-    rep._orbit_cache[key] = cached
-    return cached
+def _trivial_stabilizer_alpha(G, rep, n, index_budget):
+    """The first alpha with trivial stabilizer in Gamma_{degree,n}, or None:
+    the entry a walk records on rep, walking only until it exists."""
+    orbits = _orbits(G, rep, rep.degree, n, index_budget)
+    key = ("alpha", n)
+    if key not in rep._orbit_cache:
+        for _ in orbits:
+            if key in rep._orbit_cache:
+                break
+    return rep._orbit_cache[key]
 
 
 def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
     """One record per orbit of Gamma_{m,n}, covering it exactly; m must
     equal rep.degree (pass rep.extended(m) to pad).
 
-    The orbit partition and every stabilizer's class profile (how many
-    elements it has in each conjugacy class) are independent of the
-    character and cached on the representation.  Per call, the stabilizer
-    character sum sum_C k_C chi(C), its rationality and integrality checks
-    and s_alpha are computed once per distinct profile, at the first orbit
-    that has it, and shared by the orbits with that profile; |G_alpha| is
-    the sum of the counts, so this is exact.
+    The orbit partition and every stabilizer's class profile (its sorted
+    (class index, count) pairs) depend only on rep, and the orbit walk
+    records both.  Each call computes the stabilizer character sum sum_C
+    k_C chi(C), its checks and s_alpha once per distinct profile, at its
+    first orbit, so an error names the first failing orbit in scan order;
+    |G_alpha| is the sum of the counts, so this is exact.
     """
     _require_same_group(G, rep, chi)
     parts = _orbit_partition(G, rep, m, n, index_budget)
-    ids, profiles = _class_profiles(G, rep, m, n, parts)
-    values = [None] * len(profiles)
-    records = []
-    for (alpha, size, stab), i in zip(parts, ids):
-        v = values[i]
-        if v is None:
-            v = values[i] = _profile_value(chi, profiles[i], len(stab), alpha)
-        s, in_delta_bar, s_alpha = v
-        records.append(OrbitRecord(alpha, size, stab, s, in_delta_bar, s_alpha))
-    return records
+    ids, profiles = rep._orbit_cache[("profiles", m, n)]
+    values = [_profile_value(chi, profile, alpha) for profile, alpha in profiles]
+    return [OrbitRecord(alpha, size, stab, s, in_delta_bar, s_alpha)
+            for (alpha, size, stab), (s, in_delta_bar, s_alpha)
+            in zip(parts, map(values.__getitem__, ids))]
 
 
-def _profile_value(chi, profile, order, alpha):
+def _profile_value(chi, profile, alpha):
     """(stabilizer character sum, in Delta-bar, s_alpha) for a stabilizer
-    of the given class profile and order; alpha names the orbit in errors."""
+    of the given class profile; alpha names the orbit in errors."""
     s = _weighted_sum([chi.values[c] for c, _ in profile], [k for _, k in profile])
     try:
-        q = (s * Fraction(chi.degree, order)).as_fraction()
+        q = (s * Fraction(chi.degree, sum(k for _, k in profile))).as_fraction()
     except ValueError as exc:
         raise ConsistencyError(
             f"stabilizer character sum at {alpha} is not rational: {s}"

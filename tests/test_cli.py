@@ -446,6 +446,25 @@ def test_module_entry_point_runs_cli(tmp_path):
     assert done.stderr == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "chartable"])
+def test_closed_stdout_exits_2_with_one_line(command):
+    # the reader of stdout has closed before the report is written: a
+    # BrokenPipeError traceback and exit 1 before, and Python's "Exception
+    # ignored" line at shutdown once the write alone was caught
+    config = Path(__file__).resolve().parents[1] / "configs" / "order21.json"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "ostar", command, str(config)],
+                              stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=_src_env(), timeout=60)
+    finally:
+        os.close(w)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("config error: cannot write output: ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
+
+
 def test_main_missing_file(capsys):
     assert main(["validate", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 

@@ -377,3 +377,39 @@ def test_orbit_csv_files_unchanged(name, tmp_path):
             for r in entry["records"]
         ]
     assert digest.hexdigest() == ORBIT_CSV_SHA256[name]
+
+
+# sha256 of the stdout of run, decide --verify and chartable on each
+# configs/*.json, as the writer before the one-pass orbit walk produced it
+CONFIG_STDOUT_SHA256 = {
+    "dihedral3": (
+        "c1faa20d98da4163f6251fee1f58d7cd3c99a5e8dec2e02756bba4b919977864",
+        "dd7a776554aa95baac8860173a8a85c0b0241e92caa4b0d85e69d81795a321f5",
+        "4aa7c7ba04720d407607a9523d63895f6b225011987087ce30ba5dc73c5697b1",
+    ),
+    "explicit_semidirect": (
+        "c9601467a9aec759b1ca978f1333d1622fc4c0e736e0529a88c2ebdf51e27608",
+        "a4bc26ff5c8967bb0c92d8f8cf246fe70ec92041c23499ca2284fd75cc11cc58",
+        "a2847276ed3e379b3ea9c272f673b4d5f2b44f87f59b00621a0e1ae8487f7f7e",
+    ),
+    "order21": (
+        "a489ee5f25e1812bb3a74f1cb83d765aacc6e5f2d518a3c000ecbd1385766503",
+        "a7e10ee1f37c32df4fa527314070a3c7f1219bcc2f50e353e2e09918af6706b9",
+        "d8d023bf2145db860e2ce7a60f64bc779548e4ed1ccf7df8f7510cb5ea005711",
+    ),
+    "wreath_c2_c2": (
+        "bf7ec2f95539bb637eb0b947e2772f3fe3f50da4b15eab084125e0f2c1db72b1",
+        "bee43fe28326a89555fd6dabde3c6d400d96ebf39edd1a430b5b88086ac2467e",
+        "dcc148728daccf3a13b5cbe015b1ac569bddacf03ecda77f4db851272020475b",
+    ),
+}
+
+
+def test_config_stdout_reports_unchanged(capsys):
+    assert sorted(CONFIG_STDOUT_SHA256) == [p.stem for p in CONFIGS]
+    for path in CONFIGS:
+        for command, want in zip((["run"], ["decide", "--verify"], ["chartable"]),
+                                 CONFIG_STDOUT_SHA256[path.stem]):
+            assert main([command[0], str(path), *command[1:]]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == want, (path.stem, command)

@@ -28,6 +28,7 @@ from ostar.groups import (
 )
 from ostar import characters, cyclotomic, symclass
 from ostar.characters import character_table
+from ostar.decide import find_trivial_stabilizer_alpha
 from ostar.symclass import (
     DEFAULT_INDEX_BUDGET,
     _RANK_PRIME_FLOOR,
@@ -565,9 +566,7 @@ def test_weighted_sum_matches_cyclonum_loop():
         profiles = [
             profile
             for n in (2, 3) if n ** rep.degree <= 20000
-            for profile in symclass._class_profiles(
-                G, rep, rep.degree, n,
-                _orbit_partition(G, rep, rep.degree, n, DEFAULT_INDEX_BUDGET))[1]
+            for profile, _ in walk_profiles(G, rep, n)[1]
         ]
         for chi in weighted_sum_rows(G):
             for n in (2, 3):
@@ -1247,3 +1246,77 @@ def test_orbit_partition_corrupted_permutation_fails_orbit_stabilizer():
         tuple_orbit_partition(D6, bad, 3, 2)
     with pytest.raises(ConsistencyError, match="orbit-stabilizer"):
         _orbit_partition(D6, bad, 3, 2, DEFAULT_INDEX_BUDGET)
+
+
+# -- class profiles and the witness, recorded by the walk -----------------------
+
+
+def walk_profiles(G, rep, n):
+    """(profile id per orbit, [(profile, first alpha)]) that the orbit walk
+    of Gamma_{degree,n} records on rep."""
+    _orbit_partition(G, rep, rep.degree, n, DEFAULT_INDEX_BUDGET)
+    return rep._orbit_cache[("profiles", rep.degree, n)]
+
+
+def reference_class_profiles(G, parts):
+    """The former symclass._class_profiles, kept as the reference without
+    its cache: a second pass over the finished partition.  Profile ids per
+    orbit and the distinct profiles in order of first occurrence."""
+    class_of = G.class_of
+    by_stab = {}
+    index = {}
+    ids = []
+    for _, _, stab in parts:
+        i = by_stab.get(stab)
+        if i is None:
+            counts = {}
+            for h in stab:
+                c = class_of[h]
+                counts[c] = counts.get(c, 0) + 1
+            profile = tuple(sorted(counts.items()))
+            i = by_stab[stab] = index.setdefault(profile, len(index))
+        ids.append(i)
+    return ids, list(index)
+
+
+def fresh_copy(rep):
+    """A new representation object with the same permutations, so with no
+    orbit state on it."""
+    return PermRep(rep.group, rep.a_images, rep.h_images, kind=rep.kind,
+                   degree=rep.degree)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_walk_profiles_and_witness_match_second_pass_reference(n, monkeypatch):
+    walk = symclass._walk_orbits
+    calls = []
+
+    def counting(*args):
+        # a generator, so only a walk that starts is counted
+        calls.append(args)
+        yield from walk(*args)
+
+    monkeypatch.setattr(symclass, "_walk_orbits", counting)
+    checked = 0
+    for label, G, rep in partition_cases():
+        m = rep.degree
+        if n**m > 20000:
+            continue
+        orbit_scan(G, rep, character_table(G).chars[0], m, n)
+        parts = rep._orbit_cache[(m, n)]
+        ids, profiles = rep._orbit_cache[("profiles", m, n)]
+        want_ids, want_profiles = reference_class_profiles(G, parts)
+        assert ids == want_ids and [p for p, _ in profiles] == want_profiles, label
+        firsts = {}
+        for (alpha, _, _), i in zip(parts, want_ids):
+            firsts.setdefault(i, alpha)
+        assert [a for _, a in profiles] == [firsts[i] for i in range(len(firsts))]
+        first = next((alpha for alpha, _, stab in parts if len(stab) == 1), None)
+        assert symclass._trivial_stabilizer_alpha(
+            G, rep, n, DEFAULT_INDEX_BUDGET) == first, label
+        calls.clear()
+        got = find_trivial_stabilizer_alpha(G, rep, n)
+        assert calls == [], label  # read off the finished walk
+        assert got == find_trivial_stabilizer_alpha(G, fresh_copy(rep), n), label
+        checked += 1
+    assert checked >= 40
