@@ -3,8 +3,9 @@
 Config and report are JSON; character tables and orbit reports are also
 exportable as CSV.  Reports are byte-identical across repeated runs, and
 run_job returns the same bytes parsed.  The writer splices orbit rows from
-text rendered once per orbit, and chartable values from text rendered once
-per distinct value.
+text rendered once per orbit and, for what a character changes in them,
+once per class profile, and chartable values from text rendered once per
+distinct value.
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
 invalid or output (a path or stdout) not writable, 3 budget refused, 4
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,9 +46,10 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    _profile_scan,
+    _scan_records,
     dim_symmetry_class,
     export_orbits_csv,
-    orbit_scan,
 )
 
 __all__ = ["JobConfig", "parse_config", "build_job", "run_job", "main"]
@@ -376,7 +379,7 @@ def _run_tasks(cfg, G, rep):
     scans = None
     if "orbits" in cfg.tasks or "dims" in cfg.tasks:
         scans = [
-            orbit_scan(G, rep_eff, chi, m_eff, n, index_budget=cfg.index_budget)
+            _profile_scan(G, rep_eff, chi, m_eff, n, index_budget=cfg.index_budget)
             for chi in table.chars
         ]
 
@@ -399,15 +402,19 @@ def _run_tasks(cfg, G, rep):
         elif task == "orbits":
             texts = {}
             per_char = [
-                {"char_index": i, "records": _OrbitRows(records, texts)}
-                for i, records in enumerate(scans)
+                {"char_index": i, "records": _OrbitRows(scan, texts)}
+                for i, scan in enumerate(scans)
             ]
             report["tasks"]["orbits"] = {"per_character": per_char}
         elif task == "dims":
             per_char = []
-            for i, (chi, records) in enumerate(zip(table.chars, scans)):
+            # every character's scan shares the partition's profile ids
+            count = Counter(scans[0][1])
+            for i, (chi, (_, _, values)) in enumerate(zip(table.chars, scans)):
                 d = dim_symmetry_class(G, rep_eff, chi, n)
-                total = sum(r.s_alpha for r in records if r.in_delta_bar)
+                total = sum(count[p] * s_alpha
+                            for p, (_, in_delta_bar, s_alpha) in enumerate(values)
+                            if in_delta_bar)
                 if total != d:
                     raise ConsistencyError(
                         f"dimension {d} of character {i} disagrees with the "
@@ -446,16 +453,17 @@ def _run_tasks(cfg, G, rep):
 
 
 class _OrbitRows:
-    """One character's orbit rows, held as the OrbitRecords of its scan,
-    and texts: the row text that no character enters, cached per indent and
-    shared by all characters of one scan.  report_bytes writes them as a
-    list of row dicts with the keys rep, orbit_size, stabilizer_order,
-    s_alpha and in_delta_bar."""
+    """One character's orbit rows, held as its symclass._profile_scan
+    result (parts, ids, values), and texts: the row text that no character
+    enters, cached per indent and shared by all characters of one
+    partition.  report_bytes writes them as a list of row dicts with the
+    keys rep, orbit_size, stabilizer_order, s_alpha and in_delta_bar, and
+    the CSV export as the scan's OrbitRecords."""
 
-    __slots__ = ("records", "texts")
+    __slots__ = ("scan", "texts")
 
-    def __init__(self, records, texts):
-        self.records, self.texts = records, texts
+    def __init__(self, scan, texts):
+        self.scan, self.texts = scan, texts
 
 
 class _ValueRows:
@@ -474,8 +482,8 @@ def report_bytes(report: dict) -> bytes:
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
     writing the same text directly.  The orbit rows of a CLI run (an
-    _OrbitRows) are spliced from text rendered once per orbit (see
-    _orbit_rows_text), and its chartable values (a _ValueRows) from text
+    _OrbitRows) are spliced from text rendered once per orbit and per
+    class profile (see _orbit_rows_text), and its chartable values (a _ValueRows) from text
     rendered once per distinct value (see _value_rows_text).  An integer
     too long for the interpreter's int-to-decimal limit, which json.dumps
     cannot write either, raises BudgetError."""
@@ -541,26 +549,33 @@ def _json_text(o, ind):
 def _orbit_rows_text(rows, ind):
     """_json_text of a nonempty _OrbitRows.  A row's keys sort as
     in_delta_bar, orbit_size, rep, s_alpha, stabilizer_order, and only the
-    first and the fourth depend on the character, so the text between them
-    and the text after the fourth are rendered once per orbit and indent,
-    and each character's row splices its boolean and integer in between."""
-    inner = ind + "  "
-    row_inner = inner + "  "
-    sep = "," + row_inner
-    pieces = rows.texts.get(ind)
-    if pieces is None:
-        pieces = rows.texts[ind] = [
-            (f'{sep}"orbit_size": {_int_text(r.orbit_size)}'
-             f'{sep}"rep": {_json_text(r.rep, row_inner)}{sep}"s_alpha": ',
-             f'{sep}"stabilizer_order": {_int_text(len(r.stabilizer))}{inner}}}')
-            for r in rows.records
-        ]
-    head = "{" + row_inner + '"in_delta_bar": '
-    text = ("," + inner).join([
-        f'{head}{"true" if r.in_delta_bar else "false"}{mid}{_int_text(r.s_alpha)}{tail}'
-        for r, (mid, tail) in zip(rows.records, pieces)
-    ])
-    return f"[{inner}{text}{ind}]"
+    first and the fourth depend on the character, through the orbit's
+    profile.  So the text is four pieces per orbit after the opening: its
+    boolean, the text up to its integer, its integer, and the text from
+    there to the next row's boolean (the closing, for the last row).  The
+    orbit-only pieces are rendered once per orbit and indent into a list
+    cached in rows.texts; each character renders its boolean and integer
+    once per profile, slices them into that list, and joins it."""
+    parts, ids, values = rows.scan
+    out = rows.texts.get(ind)
+    if out is None:
+        inner = ind + "  "
+        row_inner = inner + "  "
+        sep = "," + row_inner
+        head = "{" + row_inner + '"in_delta_bar": '
+        out = rows.texts[ind] = [None] * (4 * len(parts) + 1)
+        out[0] = "[" + inner + head
+        out[2::4] = [f'{sep}"orbit_size": {_int_text(size)}'
+                     f'{sep}"rep": {_json_text(alpha, row_inner)}{sep}"s_alpha": '
+                     for alpha, size, _ in parts]
+        tails = [f'{sep}"stabilizer_order": {_int_text(len(stab))}{inner}}}'
+                 for _, _, stab in parts]
+        out[4::4] = [t + "," + inner + head for t in tails]
+        out[-1] = tails[-1] + ind + "]"
+    # every call overwrites all of the character's pieces before joining
+    out[1::4] = map(["true" if b else "false" for _, b, _ in values].__getitem__, ids)
+    out[3::4] = map([_int_text(s) for _, _, s in values].__getitem__, ids)
+    return "".join(out)
 
 
 def _value_rows_text(values, ind):
@@ -591,7 +606,7 @@ def _write_csv_outputs(cfg, G, report, out_path: Path) -> list:
         for i, entry in enumerate(report["tasks"]["orbits"]["per_character"]):
             p = base.with_name(base.name + f".orbits.chi{i}.csv")
             with open(p, "w", newline="") as fh:
-                export_orbits_csv(entry["records"].records, fh)
+                export_orbits_csv(_scan_records(*entry["records"].scan), fh)
             written.append(p)
     return written
 

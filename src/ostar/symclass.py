@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import eq, getitem
+from operator import eq
 
 from .cyclotomic import (CycloNum, _cyclotomic_root_mod, _images_mod, _integral_terms,
                          _interned, _weighted_sum)
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_INDEX_BUDGET = 10**7
+# the least byte budget of the orbit walk's chunk table (see _low_chunk_size)
+_CHUNK_TABLE_CAP = 1 << 20
 # cyclo_rank's primes are the first ones = 1 (mod N) past this floor
 _RANK_PRIME_FLOOR = 1 << 24
 
@@ -158,55 +160,69 @@ def _walk_orbits(G, rep, m, n, cache):
 
     Letter alpha_j at position j moves to position sigma_g(j), sigma_g =
     rep.perms[code(g)], so the code of alpha.g is the sum over j of
-    (alpha_j - 1) n^(m-1-sigma_g(j)).  The column col[j][a] tabulates that
-    term for the letter a over every g, packed in element-code order as
-    4-byte fields of one int, so the image codes of alpha under all of G
-    are one sum of m ints.  No field carries into the next, since each sums
-    to an image code below n^m <= DEFAULT_INDEX_BUDGET < 2^32.  An orbit is
-    read off that sum: its distinct codes, and its stabilizer as the
-    element codes whose image code is alpha's own.  The next representative
-    is the next unvisited code.
+    (alpha_j - 1) n^(m-1-sigma_g(j)).  Those terms are packed in
+    element-code order as 4-byte fields of one int, units[j] holding the
+    terms for letter 2; no field carries into the next, since each sums to
+    an image code below n^m <= DEFAULT_INDEX_BUDGET < 2^32.  A code splits
+    as hi, lo = divmod(code, n^k), k = _low_chunk_size(m, n, |G|): a table
+    lists, for every lo, the last k letters and the sum of their packed
+    terms, and the first m - k letters and their sum are decoded only when
+    hi changes, which happens at most n^(m-k) times since representatives
+    ascend.  So alpha is the concatenation and its image codes under all
+    of G the sum of two parts.  An orbit is read off that sum: its distinct
+    codes, and its stabilizer as the element codes whose image code is
+    alpha's own.  The next representative is the next unvisited code.
     """
     total = n**m
-    perms = rep.perms
-
-    def packed(weights):
-        return int.from_bytes(
-            b"".join(w.to_bytes(4, sys.byteorder) for w in weights),
+    units = [
+        int.from_bytes(
+            b"".join((n ** (m - 1 - p[j])).to_bytes(4, sys.byteorder)
+                     for p in rep.perms),
             sys.byteorder,
-        )
-
-    col = [
-        (None,) + tuple(
-            packed([(a - 1) * n ** (m - 1 - p[j]) for p in perms])
-            for a in range(1, n + 1)
         )
         for j in range(m)
     ]
+    k = _low_chunk_size(m, n, G.order)
+    low_letters, low_images = [()], [0]
+    for u in units[m - k:]:
+        terms = [d * u for d in range(n)]
+        low_letters = [t + (d,) for t in low_letters for d in range(1, n + 1)]
+        low_images = [x + w for x in low_images for w in terms]
+    high_units = units[: m - k]
+    radix = n**k
     nbytes = 4 * G.order
     class_of = G.class_of
     visited = bytearray(total)
     parts = []
-    by_stab = {}
+    by_stab = {}  # stabilizer -> (that tuple, profile id)
     profiles = {}  # profile -> (id, first alpha)
     ids = []
+    last_hi = None
     code = 0
     while code >= 0:
-        alpha = index_from_code(code, m, n)
-        images = sum(map(getitem, col, alpha))
-        codes = memoryview(images.to_bytes(nbytes, sys.byteorder)).cast("I").tolist()
+        hi, lo = divmod(code, radix)
+        if hi != last_hi:
+            last_hi = hi
+            high_alpha = index_from_code(hi, m - k, n)
+            high_images = sum((a - 1) * u for a, u in zip(high_alpha, high_units))
+        alpha = high_alpha + low_letters[lo]
+        codes = memoryview(
+            (high_images + low_images[lo]).to_bytes(nbytes, sys.byteorder)
+        ).cast("I").tolist()
         orbit = set(codes)
         stab = tuple(compress(range(G.order), map(code.__eq__, codes)))
         for c in orbit:
             visited[c] = 1
         if len(orbit) * len(stab) != G.order:
             raise ConsistencyError("orbit-stabilizer count failed on Gamma_{m,n}")
-        i = by_stab.get(stab)
-        if i is None:
+        known = by_stab.get(stab)
+        if known is None:
             profile = tuple(sorted(Counter(map(class_of.__getitem__, stab)).items()))
-            i = by_stab[stab] = profiles.setdefault(profile, (len(profiles), alpha))[0]
+            i = profiles.setdefault(profile, (len(profiles), alpha))[0]
+            known = by_stab[stab] = (stab, i)
             if len(stab) == 1:
                 cache[("alpha", n)] = alpha
+        stab, i = known  # orbits with equal stabilizers share one tuple
         ids.append(i)
         parts.append((alpha, len(orbit), stab))
         yield parts[-1]
@@ -214,6 +230,19 @@ def _walk_orbits(G, rep, m, n, cache):
     cache.setdefault(("alpha", n), None)
     cache[("profiles", m, n)] = (ids, [(p, a) for p, (_, a) in profiles.items()])
     cache[(m, n)] = parts
+
+
+def _low_chunk_size(m, n, order):
+    """The number k of last positions whose letters _walk_orbits tabulates:
+    the largest k <= ceil(m/2) whose n^k packed sums, of 4 * order bytes
+    each, take at most max(n^m, _CHUNK_TABLE_CAP) bytes, the larger of the
+    walk's visited array and a fixed floor.  k = 0, a table of one sum,
+    always fits, since the floor holds 4 * ELEMENT_CAP bytes."""
+    budget = max(n**m, _CHUNK_TABLE_CAP)
+    k = (m + 1) // 2
+    while k and n**k * 4 * order > budget:
+        k -= 1
+    return k
 
 
 def _orbit_partition(G, rep, m, n, index_budget):
@@ -247,10 +276,22 @@ def orbit_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
     first orbit, so an error names the first failing orbit in scan order;
     |G_alpha| is the sum of the counts, so this is exact.
     """
+    return _scan_records(*_profile_scan(G, rep, chi, m, n, index_budget))
+
+
+def _profile_scan(G, rep, chi, m, n, index_budget=DEFAULT_INDEX_BUDGET):
+    """orbit_scan's work without its records: (parts, ids, values), the
+    partition as _orbit_partition gives it, each orbit's class-profile id,
+    and _profile_value of each profile, so orbit i has the stabilizer sum,
+    Delta-bar membership and s_alpha values[ids[i]]."""
     _require_same_group(G, rep, chi)
     parts = _orbit_partition(G, rep, m, n, index_budget)
     ids, profiles = rep._orbit_cache[("profiles", m, n)]
-    values = [_profile_value(chi, profile, alpha) for profile, alpha in profiles]
+    return parts, ids, [_profile_value(chi, p, alpha) for p, alpha in profiles]
+
+
+def _scan_records(parts, ids, values):
+    """The OrbitRecords of a _profile_scan result, in scan order."""
     return [OrbitRecord(alpha, size, stab, s, in_delta_bar, s_alpha)
             for (alpha, size, stab), (s, in_delta_bar, s_alpha)
             in zip(parts, map(values.__getitem__, ids))]

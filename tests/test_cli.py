@@ -531,13 +531,13 @@ def test_csv_run_scans_orbits_once_per_character(tmp_path, monkeypatch):
     import ostar.cli
 
     calls = []
-    real_scan = ostar.cli.orbit_scan
+    real_scan = ostar.cli._profile_scan
 
     def counting_scan(G, rep, chi, m, n, **kwargs):
         calls.append(rep.degree)
         return real_scan(G, rep, chi, m, n, **kwargs)
 
-    monkeypatch.setattr(ostar.cli, "orbit_scan", counting_scan)
+    monkeypatch.setattr(ostar.cli, "_profile_scan", counting_scan)
     p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
                              "n": 2, "m": 4, "tasks": ["orbits", "dims"]})
     out = tmp_path / "report.json"
@@ -547,6 +547,36 @@ def test_csv_run_scans_orbits_once_per_character(tmp_path, monkeypatch):
     for i, row in enumerate(per_char):
         lines = (tmp_path / f"report.orbits.chi{i}.csv").read_text().splitlines()
         assert len(lines) == 1 + len(row["records"])
+
+
+@pytest.mark.parametrize("char", [1, 2])
+def test_dims_check_catches_one_profile_off_by_one(tmp_path, monkeypatch, capsys, char):
+    # the dims task sums s_alpha by class profile; one Delta-bar profile's
+    # s_alpha raised by 1 for one character must fail its check against
+    # dim_symmetry_class, naming that character
+    import ostar.cli
+
+    real_scan = ostar.cli._profile_scan
+    seen = []
+
+    def skewed_scan(G, rep, chi, m, n, **kwargs):
+        parts, ids, values = real_scan(G, rep, chi, m, n, **kwargs)
+        seen.append(chi)
+        if len(seen) - 1 == char:
+            values = list(values)
+            p = next(p for p, (_, in_bar, _) in enumerate(values) if in_bar)
+            s, in_bar, s_alpha = values[p]
+            values[p] = (s, in_bar, s_alpha + 1)
+        return parts, ids, values
+
+    monkeypatch.setattr(ostar.cli, "_profile_scan", skewed_scan)
+    p = write_cfg(tmp_path, {"family": {"dihedral": {"s": 3}}, "rep": "natural",
+                             "n": 3, "tasks": ["orbits", "dims"]})
+    assert main(["run", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: ")
+    assert f" of character {char} disagrees with the orbital sum" in err
+    assert len(seen) == 3
 
 
 def test_main_csv_requires_out(tmp_path):

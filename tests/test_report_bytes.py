@@ -413,3 +413,52 @@ def test_config_stdout_reports_unchanged(capsys):
             assert main([command[0], str(path), *command[1:]]) == 0
             out = capsys.readouterr().out.encode()
             assert hashlib.sha256(out).hexdigest() == want, (path.stem, command)
+
+
+# -- orbit rows by class profile against the per-orbit records ----------------
+
+
+def orbit_cases(n):
+    from test_symclass import partition_cases
+
+    return [(label, G, rep) for label, G, rep in partition_cases()
+            if n**rep.degree <= 20000]
+
+
+def record_rows(records):
+    """The row dicts of the records of one orbit_scan, as the writer before
+    the rows by class profile built them."""
+    return [{"rep": list(r.rep), "orbit_size": r.orbit_size,
+             "stabilizer_order": len(r.stabilizer), "s_alpha": r.s_alpha,
+             "in_delta_bar": r.in_delta_bar} for r in records]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_rows_by_profile_match_orbit_scan_records(n, tmp_path):
+    from test_symclass import fresh_copy
+
+    from ostar.characters import validated_table
+    from ostar.groups import SUBGROUP_CAP
+    from ostar.symclass import DEFAULT_INDEX_BUDGET, export_orbits_csv
+
+    cases = orbit_cases(n)
+    assert len(cases) >= 40
+    for label, G, rep in cases:
+        cfg = cli.JobConfig("explicit", {}, "natural", n, None, ("orbits", "dims"),
+                            DEFAULT_INDEX_BUDGET, SUBGROUP_CAP, {})
+        report = cli._run_tasks(cfg, G, rep)
+        got = report_bytes(report)
+        out = tmp_path / f"{label}.json"
+        written = cli._write_csv_outputs(cfg, G, report, out)
+        # the reference scans a fresh copy of rep, so walks on its own
+        chars = validated_table(G).chars
+        ref_rep = fresh_copy(rep)
+        scans = [orbit_scan(G, ref_rep, chi, rep.degree, n) for chi in chars]
+        assert len(written) == len(chars)
+        for path, records in zip(written, scans):
+            want = io.StringIO(newline="")
+            export_orbits_csv(records, want)
+            assert path.read_bytes() == want.getvalue().encode(), (label, n, path.name)
+        for entry, records in zip(report["tasks"]["orbits"]["per_character"], scans):
+            entry["records"] = record_rows(records)
+        assert got == reference(report), (label, n)

@@ -1320,3 +1320,101 @@ def test_walk_profiles_and_witness_match_second_pass_reference(n, monkeypatch):
         assert got == find_trivial_stabilizer_alpha(G, fresh_copy(rep), n), label
         checked += 1
     assert checked >= 40
+
+
+# -- the walk's table of low-position letters ---------------------------------
+
+
+def walk_against_reference(G, rep, n):
+    """Walk Gamma_{degree,n} on a fresh copy of rep and check the partition
+    against the tuple reference, the profile ids against the second-pass
+    reference, ("alpha", n) against the first trivial stabilizer, and that
+    equal stabilizers are one object."""
+    rep = fresh_copy(rep)
+    m = rep.degree
+    parts = _orbit_partition(G, rep, m, n, DEFAULT_INDEX_BUDGET)
+    want = tuple_orbit_partition(G, rep, m, n)
+    assert [(alpha, size, elements_of(G, stab)) for alpha, size, stab in parts] == want
+    ids, profiles = rep._orbit_cache[("profiles", m, n)]
+    want_ids, want_profiles = reference_class_profiles(G, parts)
+    assert ids == want_ids and [p for p, _ in profiles] == want_profiles
+    first = next((alpha for alpha, _, stab in parts if len(stab) == 1), None)
+    assert rep._orbit_cache[("alpha", n)] == first
+    # orbits with equal stabilizers share one tuple
+    stabs = [stab for _, _, stab in parts]
+    assert len(set(map(id, stabs))) == len(set(stabs))
+    return parts
+
+
+EDGE_WALKS = [
+    # (label, group, rep, n): m = 1, n = 1, odd and even m
+    ("trivial-m1-n5", trivial_group(), PermRep(trivial_group(), ((0,),), ((0,),)), 5),
+    ("D6-m1-n5", D6, PermRep(D6, ((0,),), ((0,),)), 5),
+    ("D6-m1-n1", D6, PermRep(D6, ((0,),), ((0,),)), 1),
+    ("D6-m3-n1", D6, D6_REP, 1),
+    ("D6-m3-n4", D6, D6_REP, 4),
+    ("D6-m4-n3", D6, D6_REP.extended(4), 3),
+    ("D8-m4-n3", dihedral(4), dihedral(4).natural_rep, 3),
+    ("D10-m5-n3", dihedral(5), dihedral(5).natural_rep, 3),
+    ("F21-m8-n2", group_pq(3, 7, 2), group_pq(3, 7, 2).natural_rep.extended(8), 2),
+]
+
+
+@pytest.mark.parametrize("label, G, rep, n", EDGE_WALKS, ids=[c[0] for c in EDGE_WALKS])
+def test_walk_edge_cases_match_reference(label, G, rep, n):
+    m = rep.degree
+    assert symclass._low_chunk_size(m, n, G.order) == (m + 1) // 2
+    parts = walk_against_reference(G, rep, n)
+    assert sum(size for _, size, _ in parts) == n**m
+
+
+CAPPED_WALKS = [
+    # (label, group, rep, n, tabulated positions once the floor is 0)
+    ("D6-m3-n2", D6, D6_REP, 2, 0),
+    ("D6-m4-n4", D6, D6_REP.extended(4), 4, 1),
+    ("F21-m8-n3", group_pq(3, 7, 2), group_pq(3, 7, 2).natural_rep.extended(8), 3, 3),
+    ("F21-m9-n2", group_pq(3, 7, 2), group_pq(3, 7, 2).natural_rep.extended(9), 2, 2),
+]
+
+
+@pytest.mark.parametrize("label, G, rep, n, k", CAPPED_WALKS,
+                         ids=[c[0] for c in CAPPED_WALKS])
+def test_walk_with_its_table_held_at_the_cap(label, G, rep, n, k, monkeypatch):
+    # with no fixed floor the table may take only n^m bytes, so the walk
+    # tabulates fewer than half the positions (down to none) and decodes
+    # the rest on each change of hi
+    m = rep.degree
+    assert symclass._low_chunk_size(m, n, G.order) == (m + 1) // 2
+    monkeypatch.setattr(symclass, "_CHUNK_TABLE_CAP", 0)
+    assert symclass._low_chunk_size(m, n, G.order) == k
+    assert n ** (k + 1) * 4 * G.order > n**m
+    assert k == 0 or n**k * 4 * G.order <= n**m
+    walk_against_reference(G, rep, n)
+
+
+def test_low_chunk_size_stays_within_its_byte_budget():
+    from ostar.groups import ELEMENT_CAP
+
+    cap = symclass._CHUNK_TABLE_CAP
+    assert cap >= 4 * ELEMENT_CAP  # so a table of one sum always fits
+    checked = 0
+    for order in (1, 2, 21, 128, 1000, 2000):
+        for n in (1, 2, 3, 7, 10, 100, 10**7):
+            for m in range(1, 24):
+                if n**m > DEFAULT_INDEX_BUDGET:
+                    break
+                k = symclass._low_chunk_size(m, n, order)
+                budget = max(n**m, cap)
+                assert 0 <= k <= (m + 1) // 2
+                assert n**k * 4 * order <= budget, (order, n, m)
+                # the largest k that fits
+                assert k == (m + 1) // 2 or n ** (k + 1) * 4 * order > budget
+                checked += 1
+    assert checked > 200
+    # order 2000 on a degree-14 rep at n = 3: two halves would take
+    # 2 * 3^7 * 8000 bytes, about 35 MB; the table stays under 3^14 bytes
+    k = symclass._low_chunk_size(14, 3, 2000)
+    assert (k, 3**k * 8000) == (5, 1_944_000) and 3**k * 8000 <= 3**14
+    # m = 1 with n = 10^7 at order 2000: a one-position table would take
+    # 80 GB, so no position is tabulated
+    assert symclass._low_chunk_size(1, 10**7, 2000) == 0
