@@ -412,9 +412,8 @@ def _run_tasks(cfg, G, rep):
             count = Counter(scans[0][1])
             for i, (chi, (_, _, values)) in enumerate(zip(table.chars, scans)):
                 d = dim_symmetry_class(G, rep_eff, chi, n)
-                total = sum(count[p] * s_alpha
-                            for p, (_, in_delta_bar, s_alpha) in enumerate(values)
-                            if in_delta_bar)
+                total = sum(count[p] * s_alpha  # s_alpha is 0 off Delta-bar
+                            for p, (_, _, s_alpha) in enumerate(values))
                 if total != d:
                     raise ConsistencyError(
                         f"dimension {d} of character {i} disagrees with the "

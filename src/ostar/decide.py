@@ -13,8 +13,8 @@ provides:
     with every hypothesis re-verified computationally;
   * decide_subgroup_criterion - non-existence via a subgroup avoiding the
     character's zero set at index below chi(e)^2;
-  * brute_force_verify - an independent exact oracle that searches each
-    orbital subspace for s_alpha pairwise-orthogonal symmetrized tensors.
+  * brute_force_verify - an independent exact oracle that searches, once per
+    stabilizer, an orbital subspace for s_alpha orthogonal symmetrized tensors.
 
 Multi-indices have length rep.degree; pass rep.extended(m) to decide at a
 larger m.  Every verdict carries machine-checkable witnesses.  "Proven
@@ -37,13 +37,13 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    _profile_scan,
     _require_positive_n,
     _require_same_group,
     _right_coset_reps,
     _trivial_stabilizer_alpha,
     coset_sums,
     dim_symmetry_class,
-    orbit_scan,
     stabilizer,
 )
 
@@ -343,31 +343,33 @@ def brute_force_verify(G, rep, chi, n,
 
     Everything but the representative depends only on G_alpha (alpha.g =
     alpha.g' iff g' g^-1 lies in G_alpha), so rows with one stabilizer share
-    one search.  Past VERTEX_BUDGET cosets or CLIQUE_NODE_BUDGET search
-    nodes a stabilizer's rows are refused, and the verdict is Inconclusive.
+    one search.  Delta-bar membership and s_alpha depend only on its class
+    profile, and are read per profile from the walk (symclass._profile_scan).
+    Past VERTEX_BUDGET cosets or CLIQUE_NODE_BUDGET search nodes a
+    stabilizer's rows are refused, and the verdict is Inconclusive.
     """
     _require_validated(G, rep, chi)
     try:
-        records = orbit_scan(G, rep, chi, rep.degree, n, index_budget=index_budget)
+        parts, ids, values = _profile_scan(G, rep, chi, rep.degree, n, index_budget)
     except BudgetError as exc:
         return Verdict(INCONCLUSIVE, BRUTE_FORCE, {"budget_refused": str(exc)})
-    bar = [r for r in records if r.in_delta_bar]
-    if sum(r.s_alpha for r in bar) == 0:
+    bar = [(alpha, stab, values[i][2])  # s_alpha >= 1 on Delta-bar
+           for (alpha, _, stab), i in zip(parts, ids) if values[i][1]]
+    if not bar:
         return Verdict(
             INCONCLUSIVE, BRUTE_FORCE, {"zero_dimension": True, "dim": 0}
         )
 
     elems, inv = G.elements(), G.inv_code
 
-    def search(record):
+    def search(stab, s_alpha):
         """The row fields shared by every orbit with this stabilizer, and
         the budget that refused the search (None when it ran)."""
-        reps = _right_coset_reps(G, record.stabilizer)
-        refused = {"s_alpha": record.s_alpha, "clique": None,
-                   "budget_exceeded": True}
+        reps = _right_coset_reps(G, stab)
+        refused = {"s_alpha": s_alpha, "clique": None, "budget_exceeded": True}
         if len(reps) > VERTEX_BUDGET:
             return refused, f"vertex budget {VERTEX_BUDGET}"
-        zero = [s.is_zero() for s in coset_sums(chi, G, record.stabilizer)]
+        zero = [s.is_zero() for s in coset_sums(chi, G, stab)]
         nvert = len(reps)
         adj = [[False] * nvert for _ in range(nvert)]
         for i in range(nvert):
@@ -377,11 +379,11 @@ def brute_force_verify(G, rep, chi, n,
                 if zero[col[reps[j]]]:
                     adj[i][j] = adj[j][i] = True
         try:
-            clique = _find_clique(adj, record.s_alpha)
+            clique = _find_clique(adj, s_alpha)
         except BudgetError:
             return refused, f"clique node budget {CLIQUE_NODE_BUDGET}"
         return {
-            "s_alpha": record.s_alpha,
+            "s_alpha": s_alpha,
             "clique": (
                 None
                 if clique is None
@@ -389,12 +391,10 @@ def brute_force_verify(G, rep, chi, n,
             ),
         }, None
 
-    searches = {}
-    for r in bar:
-        if r.stabilizer not in searches:
-            searches[r.stabilizer] = search(r)
-    per_orbit = [{"rep": list(r.rep), **searches[r.stabilizer][0]} for r in bar]
-    refusals = Counter(searches[r.stabilizer][1] for r in bar)
+    first = {stab: s_alpha for _, stab, s_alpha in bar}  # first-seen order
+    searches = {stab: search(stab, s_alpha) for stab, s_alpha in first.items()}
+    per_orbit = [{"rep": list(alpha), **searches[stab][0]} for alpha, stab, _ in bar]
+    refusals = Counter(searches[stab][1] for _, stab, _ in bar)
     del refusals[None]
     if refusals:
         return Verdict(
@@ -408,7 +408,7 @@ def brute_force_verify(G, rep, chi, n,
         )
     failures = [p for p in per_orbit if p["clique"] is None]
     if failures:
-        # records arrive in lex order of representatives, so the first
+        # orbits arrive in lex order of representatives, so the first
         # failure is the lex-min one
         return Verdict(
             NOT_ADMITS,

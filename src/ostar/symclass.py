@@ -171,7 +171,9 @@ def _walk_orbits(G, rep, m, n, cache):
     ascend.  So alpha is the concatenation and its image codes under all
     of G the sum of two parts.  An orbit is read off that sum: its distinct
     codes, and its stabilizer as the element codes whose image code is
-    alpha's own.  The next representative is the next unvisited code.
+    alpha's own.  The next representative is the next unvisited code.  A
+    finished walk checks, before caching, that |G| times its orbit count is
+    the sum of _class_weights (Burnside's lemma).
     """
     total = n**m
     units = [
@@ -227,6 +229,11 @@ def _walk_orbits(G, rep, m, n, cache):
         parts.append((alpha, len(orbit), stab))
         yield parts[-1]
         code = visited.find(0, code + 1)
+    if len(parts) * G.order != sum(_class_weights(G, rep, n)):
+        raise ConsistencyError(
+            f"the walk found {len(parts)} orbits of Gamma_{{m,n}}, not the "
+            f"count Burnside's lemma gives"
+        )
     cache.setdefault(("alpha", n), None)
     cache[("profiles", m, n)] = (ids, [(p, a) for p, (_, a) in profiles.items()])
     cache[(m, n)] = parts
@@ -318,15 +325,10 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     """chi(e)/|G| times the sum over the group of chi(g) n^(cycle count);
     must come out an exact nonnegative integer.  Both factors are class
     functions (conjugate permutations share a cycle type), so the sum runs
-    over conjugacy classes weighted by class size.  The cycle count of each
-    class is computed once per representation and cached on it."""
+    over conjugacy classes with the weights _class_weights gives."""
     _require_same_group(G, rep, chi)
     _require_positive_n(n)
-    classes = G.conjugacy_classes()
-    cache = vars(rep).setdefault("_orbit_cache", {})
-    if "cycles" not in cache:
-        cache["cycles"] = [cycle_count(cls[0], rep) for cls in classes]
-    weights = [len(cls) * n ** c for cls, c in zip(classes, cache["cycles"])]
+    weights = _class_weights(G, rep, n)
     total = _weighted_sum(chi.values, weights) * Fraction(chi.degree, G.order)
     try:
         q = total.as_fraction()
@@ -335,6 +337,18 @@ def dim_symmetry_class(G, rep, chi, n) -> int:
     if q.denominator != 1 or q < 0:
         raise ConsistencyError(f"dimension value {q} is not a nonnegative integer")
     return int(q)
+
+
+def _class_weights(G, rep, n):
+    """|C| n^c(C) for each conjugacy class C, c(C) the cycle count of its
+    permutations under rep, computed once per representation and cached on
+    it.  The weights sum to |G| times the number of orbits of
+    Gamma_{degree,n} (Burnside's lemma)."""
+    classes = G.conjugacy_classes()
+    cache = vars(rep).setdefault("_orbit_cache", {})
+    if "cycles" not in cache:
+        cache["cycles"] = [cycle_count(cls[0], rep) for cls in classes]
+    return [len(cls) * n ** c for cls, c in zip(classes, cache["cycles"])]
 
 
 def coset_sums(chi, G, stab) -> list:

@@ -4,6 +4,7 @@ The agreement suite runs every decider against the oracle over small groups
 with their natural representations and insists definite statuses coincide.
 """
 
+import hashlib
 import re
 import time
 
@@ -673,6 +674,31 @@ def test_brute_force_matches_per_orbit_loop(G, rep, n, vertex_budget, monkeypatc
         old = per_orbit_brute_force_verify(G, rep, chi, n,
                                            vertex_budget=vertex_budget)
         assert new.to_json() == old.to_json(), i
+
+
+def test_oracle_builds_no_orbit_records(monkeypatch, capsys):
+    # the oracle and decide --verify read the walk's profile scan; OrbitRecords
+    # are built only for orbit_scan and the CSV export
+    from test_report_bytes import CONFIG_STDOUT_SHA256, CONFIGS
+
+    from ostar.cli import main
+
+    cases = [(G, G.natural_rep, character_table(G).chars)
+             for G in map(suite_group, TABLE_SUITE)]
+    want = [[brute_force_verify(G, rep, chi, 2).to_json() for chi in chars]
+            for G, rep, chars in cases]
+
+    def refuse(*args):
+        raise AssertionError("OrbitRecords built")
+
+    monkeypatch.setattr(symclass, "_scan_records", refuse)
+    got = [[brute_force_verify(G, rep, chi, 2).to_json() for chi in chars]
+           for G, rep, chars in cases]
+    assert got == want
+    config = next(p for p in CONFIGS if p.stem == "dihedral3")
+    assert main(["decide", str(config), "--verify"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CONFIG_STDOUT_SHA256["dihedral3"][1]
 
 
 @pytest.fixture

@@ -1248,6 +1248,35 @@ def test_orbit_partition_corrupted_permutation_fails_orbit_stabilizer():
         _orbit_partition(D6, bad, 3, 2, DEFAULT_INDEX_BUDGET)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_walk_orbit_count_is_burnside_count(n):
+    # dim_symmetry_class of the trivial character counts the orbits
+    checked = 0
+    for label, G, rep in partition_cases():
+        if n**rep.degree > 20000:
+            continue
+        trivial = next(chi for chi in character_table(G).chars
+                       if all(v == 1 for v in chi.values))
+        parts = _orbit_partition(G, rep, rep.degree, n, DEFAULT_INDEX_BUDGET)
+        assert len(parts) == dim_symmetry_class(G, rep, trivial, n), (label, n)
+        checked += 1
+    assert checked >= 40
+
+
+def test_walk_refuses_an_orbit_count_off_burnside(monkeypatch):
+    weights = symclass._class_weights
+
+    def off_by_one(G, rep, n):
+        w = weights(G, rep, n)
+        return [w[0] + 1, *w[1:]]
+
+    monkeypatch.setattr(symclass, "_class_weights", off_by_one)
+    rep = fresh_copy(D6_REP)
+    with pytest.raises(ConsistencyError, match="Burnside's lemma"):
+        _orbit_partition(D6, rep, 3, 2, DEFAULT_INDEX_BUDGET)
+    assert (3, 2) not in rep._orbit_cache
+
+
 # -- class profiles and the witness, recorded by the walk -----------------------
 
 
