@@ -4,8 +4,9 @@ Config and report are JSON; character tables and orbit reports are also
 exportable as CSV.  Reports are byte-identical across repeated runs, and
 run_job returns the same bytes parsed.  The writer splices orbit rows from
 text rendered once per orbit and, for what a character changes in them,
-once per class profile, and chartable values from text rendered once per
-distinct value.
+once per class profile; verify rows from text rendered once per
+stabilizer and once per orbit; and chartable values from text rendered
+once per distinct value.
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
 invalid or output (a path or stdout) not writable, 3 budget refused, 4
@@ -326,8 +327,9 @@ def run_job(cfg: JobConfig) -> dict:
 
 def _run_tasks(cfg, G, rep):
     """The report, with each character's orbit rows held as an _OrbitRows
-    that report_bytes and the CSV export read, and the chartable values as
-    a _ValueRows that report_bytes reads; only the writer reads either."""
+    that report_bytes and the CSV export read, and its verify rows as a
+    _VerifyRows and the chartable values as a _ValueRows that report_bytes
+    reads; only the writer reads any of them."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -433,6 +435,7 @@ def _run_tasks(cfg, G, rep):
             report["tasks"]["decide"] = {"per_character": per_char}
         elif task == "verify":
             per_char = []
+            texts = {}
             for i, chi in enumerate(table.chars):
                 v = brute_force_verify(G, rep_eff, chi, n,
                                        index_budget=cfg.index_budget)
@@ -442,9 +445,12 @@ def _run_tasks(cfg, G, rep):
                         f"brute-force verdict {v.status} for character {i} "
                         f"contradicts the decided {decisions[i].status}"
                     )
+                verdict = v.to_json()
+                if v.per_orbit is not None:
+                    verdict["per_orbit"] = _VerifyRows(v.per_orbit, texts)
                 per_char.append({
                     "char_index": i,
-                    "verdict": v.to_json(),
+                    "verdict": verdict,
                     "agrees_with_decide": agrees,
                 })
             report["tasks"]["verify"] = {"per_character": per_char}
@@ -465,6 +471,18 @@ class _OrbitRows:
         self.scan, self.texts = scan, texts
 
 
+class _VerifyRows:
+    """One verify verdict's per_orbit rows, held as the list of row dicts
+    that brute_force_verify returns, and texts: the rep text of each alpha,
+    cached per indent and shared by all characters of one partition.
+    report_bytes writes them as that list."""
+
+    __slots__ = ("rows", "texts")
+
+    def __init__(self, rows, texts):
+        self.rows, self.texts = rows, texts
+
+
 class _ValueRows:
     """The chartable values, held as rows: each character's values tuple
     of CycloNums, in class order.  report_bytes writes them as lists of
@@ -480,17 +498,22 @@ def report_bytes(report: dict) -> bytes:
     """The report as json.dumps(report, sort_keys=True, indent=2) plus a
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
-    writing the same text directly.  The orbit rows of a CLI run (an
-    _OrbitRows) are spliced from text rendered once per orbit and per
-    class profile (see _orbit_rows_text), and its chartable values (a _ValueRows) from text
-    rendered once per distinct value (see _value_rows_text).  An integer
-    too long for the interpreter's int-to-decimal limit, which json.dumps
-    cannot write either, raises BudgetError."""
+    writing the same text directly.  Its pieces go into one list, joined
+    once (see _write_json).  The orbit rows of a CLI run (an _OrbitRows)
+    are spliced from text rendered once per orbit and per class profile
+    (see _write_orbit_rows), its verify rows (a _VerifyRows) from text
+    rendered once per stabilizer and per orbit (see _write_verify_rows),
+    and its chartable values (a _ValueRows) from text rendered once per
+    distinct value (see _value_rows_text).  An integer too long for the
+    interpreter's int-to-decimal limit, which json.dumps cannot write
+    either, raises BudgetError."""
+    out = []
     try:
-        text = _json_text(report, "\n") + "\n"
+        _write_json(report, "\n", out)
     except ValueError as exc:
         raise BudgetError(f"report refused: {exc}") from exc
-    return text.encode()
+    out.append("\n")
+    return "".join(out).encode()
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -499,54 +522,70 @@ _int_text = int.__repr__
 
 def _json_text(o, ind):
     """o as json.dumps(o, sort_keys=True, indent=2) writes it when its line
-    starts with ind, a newline plus the current indentation.  Every
-    container is built with one "".join over its pieces, the orbit rows of
-    a CLI run (an _OrbitRows) by _orbit_rows_text, and its chartable values
-    (a _ValueRows) by _value_rows_text.  Reports hold only strings,
-    integers, booleans, None, lists, tuples and dicts with string keys;
-    anything else raises TypeError naming its type."""
+    starts with ind, a newline plus the current indentation."""
+    out = []
+    _write_json(o, ind, out)
+    return "".join(out)
+
+
+def _write_json(o, ind, out):
+    """Append the pieces of _json_text(o, ind) to out, so that a report is
+    joined once, not once per level of nesting.  The orbit rows of a CLI
+    run (an _OrbitRows) are written by _write_orbit_rows, its verify rows
+    (a _VerifyRows) by _write_verify_rows, and its chartable values (a
+    _ValueRows) by _value_rows_text.  Reports hold only strings, integers,
+    booleans, None, lists, tuples and dicts with string keys; anything
+    else raises TypeError naming its type."""
     if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_text(o)
-    if type(o) is _OrbitRows:
-        return _orbit_rows_text(o, ind)
-    if type(o) is _ValueRows:
-        return _value_rows_text(o, ind)
-    inner = ind + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(_int_text(o))
+    elif type(o) is _OrbitRows:
+        _write_orbit_rows(o, ind, out)
+    elif type(o) is _VerifyRows:
+        _write_verify_rows(o, ind, out)
+    elif type(o) is _ValueRows:
+        out.append(_value_rows_text(o, ind))
+    elif isinstance(o, (list, tuple)):
+        inner = ind + "  "
         if not o:
-            return "[]"
-        if all(type(v) is int for v in o):
-            return "".join(("[", inner, sep.join(map(_int_text, o)), ind, "]"))
-        parts = [sep] * (2 * len(o) + 1)
-        parts[0] = "[" + inner
-        parts[1::2] = [_json_text(v, inner) for v in o]
-        parts[-1] = ind + "]"
-        return "".join(parts)
-    if isinstance(o, dict):
+            out.append("[]")
+        elif all(type(v) is int for v in o):
+            out.append("".join(("[", inner, ("," + inner).join(map(_int_text, o)),
+                                ind, "]")))
+        else:
+            sep = "," + inner
+            out.append("[" + inner)
+            for i, v in enumerate(o):
+                if i:
+                    out.append(sep)
+                _write_json(v, inner, out)
+            out.append(ind + "]")
+    elif isinstance(o, dict):
         if not o:
-            return "{}"
-        parts = []
-        for k, v in sorted(o.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {k.__class__.__name__}")
-            parts += (sep, _encode_str(k), ": ", _json_text(v, inner))
-        parts[0] = "{" + inner
-        parts.append(ind + "}")
-        return "".join(parts)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+            out.append("{}")
+        else:
+            inner = ind + "  "
+            head = "{" + inner
+            for k, v in sorted(o.items()):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                out += (head, _encode_str(k), ": ")
+                head = "," + inner
+                _write_json(v, inner, out)
+            out.append(ind + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _orbit_rows_text(rows, ind):
-    """_json_text of a nonempty _OrbitRows.  A row's keys sort as
+def _write_orbit_rows(rows, ind, out):
+    """_write_json of a nonempty _OrbitRows.  A row's keys sort as
     in_delta_bar, orbit_size, rep, s_alpha, stabilizer_order, and only the
     first and the fourth depend on the character, through the orbit's
     profile.  So the text is four pieces per orbit after the opening: its
@@ -554,27 +593,59 @@ def _orbit_rows_text(rows, ind):
     there to the next row's boolean (the closing, for the last row).  The
     orbit-only pieces are rendered once per orbit and indent into a list
     cached in rows.texts; each character renders its boolean and integer
-    once per profile, slices them into that list, and joins it."""
+    once per profile, slices them into that list, and appends it to out."""
     parts, ids, values = rows.scan
-    out = rows.texts.get(ind)
-    if out is None:
+    pieces = rows.texts.get(ind)
+    if pieces is None:
         inner = ind + "  "
         row_inner = inner + "  "
         sep = "," + row_inner
         head = "{" + row_inner + '"in_delta_bar": '
-        out = rows.texts[ind] = [None] * (4 * len(parts) + 1)
-        out[0] = "[" + inner + head
-        out[2::4] = [f'{sep}"orbit_size": {_int_text(size)}'
-                     f'{sep}"rep": {_json_text(alpha, row_inner)}{sep}"s_alpha": '
-                     for alpha, size, _ in parts]
+        pieces = rows.texts[ind] = [None] * (4 * len(parts) + 1)
+        pieces[0] = "[" + inner + head
+        pieces[2::4] = [f'{sep}"orbit_size": {_int_text(size)}'
+                        f'{sep}"rep": {_json_text(alpha, row_inner)}{sep}"s_alpha": '
+                        for alpha, size, _ in parts]
         tails = [f'{sep}"stabilizer_order": {_int_text(len(stab))}{inner}}}'
                  for _, _, stab in parts]
-        out[4::4] = [t + "," + inner + head for t in tails]
-        out[-1] = tails[-1] + ind + "]"
-    # every call overwrites all of the character's pieces before joining
-    out[1::4] = map(["true" if b else "false" for _, b, _ in values].__getitem__, ids)
-    out[3::4] = map([_int_text(s) for _, _, s in values].__getitem__, ids)
-    return "".join(out)
+        pieces[4::4] = [t + "," + inner + head for t in tails]
+        pieces[-1] = tails[-1] + ind + "]"
+    # every call overwrites all of the character's pieces before appending
+    pieces[1::4] = map(["true" if b else "false" for _, b, _ in values].__getitem__, ids)
+    pieces[3::4] = map([_int_text(s) for _, _, s in values].__getitem__, ids)
+    out += pieces
+
+
+def _write_verify_rows(rows, ind, out):
+    """_write_json of a nonempty _VerifyRows.  A row's keys sort as
+    budget_exceeded (on refused rows only), clique, rep, s_alpha, and
+    brute_force_verify gives the rows of one stabilizer one clique object
+    and one s_alpha.  So the text before "rep": and the text after it are
+    rendered once per (clique object, s_alpha, key count), and the rep
+    text once per alpha and indent into rows.texts."""
+    inner = ind + "  "
+    row_inner = inner + "  "
+    sep = "," + row_inner
+    rep_texts = rows.texts.setdefault(ind, {})
+    shared = {}
+    out.append("[" + inner)
+    for row in rows.rows:
+        s_alpha, alpha = row["s_alpha"], row["rep"]
+        key = (id(row["clique"]), s_alpha, len(row))
+        pieces = shared.get(key)
+        if pieces is None:
+            head = "".join(f'"{k}": {_json_text(row[k], row_inner)}{sep}'
+                           for k in ("budget_exceeded", "clique") if k in row)
+            pieces = shared[key] = (
+                f'{{{row_inner}{head}"rep": ',
+                f'{sep}"s_alpha": {_int_text(s_alpha)}{inner}}},{inner}',
+            )
+        rep = tuple(alpha)
+        text = rep_texts.get(rep)
+        if text is None:
+            text = rep_texts[rep] = _json_text(alpha, row_inner)
+        out += (pieces[0], text, pieces[1])
+    out[-1] = out[-1][: -len(inner) - 1] + ind + "]"
 
 
 def _value_rows_text(values, ind):

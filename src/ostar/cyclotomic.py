@@ -13,8 +13,9 @@ Also home to the numerical-semigroup membership test behind the vanishing
 sums-of-roots-of-unity criterion, and to the helpers that own decisions
 about many values at once: _interned keys them on (conductor, coeffs,
 den), _weighted_sum takes an integer combination in one integer vector,
-and _cyclotomic_root_mod, _integral_terms and _images_mod give images
-under zeta_N -> w mod p for the certified table validation and Gram rank.
+_ZeroSums tests sums of them for zero on integer vectors, and
+_cyclotomic_root_mod, _integral_terms and _images_mod give images under
+zeta_N -> w mod p for the certified table validation and Gram rank.
 """
 
 from __future__ import annotations
@@ -159,6 +160,25 @@ def _weighted_sum(values, weights) -> CycloNum:
         for i in compress(range(len(cs)), cs):
             vec[i * k] += w * cs[i]
     return CycloNum._make(N, vec, D)
+
+
+class _ZeroSums(dict):
+    """A memo from a tuple of indices into values, repeats allowed, to
+    whether those values sum to zero.  Each value is promoted once to the
+    lcm N of the conductors, canonical there, and scaled to the lcm D of
+    the denominators; a sum of such integer vectors is still reduced
+    modulo Phi_N, so the sum is zero iff its vector is."""
+
+    def __init__(self, values):
+        super().__init__()
+        N = math.lcm(*(v.conductor for v in values))
+        D = math.lcm(*(v.den for v in values))
+        self.vectors = [[c * (D // v.den) for c in v.promote(N).coeffs]
+                        for v in values]
+
+    def __missing__(self, key):
+        self[key] = zero = not any(map(sum, zip(*map(self.vectors.__getitem__, key))))
+        return zero
 
 
 def _integral_terms(values, N):

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .characters import character_table, validated_table
-from .cyclotomic import lam_leung_certifies_nonzero, prime_factors
+from .cyclotomic import _ZeroSums, lam_leung_certifies_nonzero, prime_factors
 from .errors import BudgetError, ConsistencyError
 from .groups import (
     FAMILIES,
@@ -37,12 +37,11 @@ from .groups import (
 )
 from .symclass import (
     DEFAULT_INDEX_BUDGET,
+    _coset_table,
     _profile_scan,
     _require_positive_n,
     _require_same_group,
-    _right_coset_reps,
     _trivial_stabilizer_alpha,
-    coset_sums,
     dim_symmetry_class,
     stabilizer,
 )
@@ -343,8 +342,13 @@ def brute_force_verify(G, rep, chi, n,
 
     Everything but the representative depends only on G_alpha (alpha.g =
     alpha.g' iff g' g^-1 lies in G_alpha), so rows with one stabilizer share
-    one search.  Delta-bar membership and s_alpha depend only on its class
-    profile, and are read per profile from the walk (symclass._profile_scan).
+    one search and one clique object.  Delta-bar membership and s_alpha
+    depend only on its class profile, and are read per profile from the
+    walk (symclass._profile_scan).  The right cosets and the class multiset
+    of each left coset come from the stabilizer's coset table, built once
+    per group (symclass._coset_table), and an edge is a zero coset sum,
+    tested on integer vectors once per distinct multiset for each
+    character (cyclotomic._ZeroSums), with no CycloNum addition.
     Past VERTEX_BUDGET cosets or CLIQUE_NODE_BUDGET search nodes a
     stabilizer's rows are refused, and the verdict is Inconclusive.
     """
@@ -361,23 +365,21 @@ def brute_force_verify(G, rep, chi, n,
         )
 
     elems, inv = G.elements(), G.inv_code
+    is_zero = _ZeroSums(chi.values)
 
     def search(stab, s_alpha):
         """The row fields shared by every orbit with this stabilizer, and
         the budget that refused the search (None when it ran)."""
-        reps = _right_coset_reps(G, stab)
+        reps, key_of, keys = _coset_table(G, stab)
         refused = {"s_alpha": s_alpha, "clique": None, "budget_exceeded": True}
         if len(reps) > VERTEX_BUDGET:
             return refused, f"vertex budget {VERTEX_BUDGET}"
-        zero = [s.is_zero() for s in coset_sums(chi, G, stab)]
-        nvert = len(reps)
-        adj = [[False] * nvert for _ in range(nvert)]
-        for i in range(nvert):
-            # code(r_j r_i^-1) is entry code(r_j) of the column of r_i^-1
-            col = G.col(inv[reps[i]])
-            for j in range(i + 1, nvert):
-                if zero[col[reps[j]]]:
-                    adj[i][j] = adj[j][i] = True
+        by_key = list(map(is_zero.__getitem__, keys))
+        zero = list(map(by_key.__getitem__, key_of))  # by element code
+        # code(r_j r_i^-1) is entry code(r_j) of the column of r_i^-1; the
+        # diagonal reads the stabilizer sum, nonzero on Delta-bar
+        adj = [list(map(zero.__getitem__, map(G.col(inv[ri]).__getitem__, reps)))
+               for ri in reps]
         try:
             clique = _find_clique(adj, s_alpha)
         except BudgetError:

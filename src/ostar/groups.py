@@ -335,6 +335,7 @@ class SemidirectGroup:
         self._classes = None
         self._class_of = None
         self._cols = {}
+        self._coset_tables = {}  # symclass._coset_table, per subgroup
         self._char_table = None
         self._subgroups = None
 

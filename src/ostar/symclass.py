@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,49 +356,53 @@ def coset_sums(chi, G, stab) -> list:
     """The list, indexed by element code, whose entry at code(x) is the sum
     of chi(x h) over h in the subgroup stab, given as element codes (as
     stabilizer returns it; G.elements()[c] recovers the element).  The sum
-    depends only on the left coset x stab, whose codes col(h)[code(x)] are
-    read from the stabilizer's columns, and on the classes that coset
-    meets, so it is summed from the class values once per distinct
-    multiset of classes.  No group product is taken."""
+    depends only on the classes that the left coset x stab meets, which
+    the subgroup's coset table (see _coset_table) lists once per group, so
+    it is summed from the class values once per distinct multiset of
+    classes.  No group product is taken."""
     _require_same_group(G, chi=chi)
     return _coset_sums(chi.values, G, stab)
 
 
 def _coset_sums(values, G, stab):
     """coset_sums of the class function with the given class values."""
-    cols = [G.col(h) for h in stab]
-    class_of = G.class_of
-    by_classes = {}
-    sums = [None] * G.order
-    for x in range(G.order):
-        if sums[x] is None:
-            coset = [col[x] for col in cols]
-            key = tuple(sorted([class_of[y] for y in coset]))
-            acc = by_classes.get(key)
-            if acc is None:
-                acc = by_classes[key] = sum(map(values.__getitem__, key),
-                                            CycloNum.zero())
-            for y in coset:
-                sums[y] = acc
-    return sums
+    _, key_of, keys = _coset_table(G, stab)
+    sums = [sum(map(values.__getitem__, key), CycloNum.zero()) for key in keys]
+    return list(map(sums.__getitem__, key_of))
 
 
-def _right_coset_reps(G, stab):
-    """Codes of the least element of each right coset stab g, ascending,
-    for stab given as element codes.  The coset of g is the set of inverses
-    of the left coset g^-1 stab, so it is marked through the stabilizer's
-    columns and the inverse array."""
+def _coset_table(G, stab):
+    """(reps, key_of, keys) for the subgroup stab, given as ascending
+    element codes: built by _build_coset_table on first use and cached on
+    G, since it depends on neither the character nor the orbit."""
+    table = G._coset_tables.get(stab)
+    if table is None:
+        table = G._coset_tables[stab] = _build_coset_table(G, stab)
+    return table
+
+
+def _build_coset_table(G, stab):
+    """The coset table of stab: reps, the code of the least element of each
+    right coset stab g, ascending; keys, each distinct sorted multiset of
+    the classes that a left coset x stab meets, in order of first meeting;
+    and key_of, with key_of[code(x)] the index in keys of x stab's.  The
+    left coset's codes col(h)[code(x)] are read from the stabilizer's
+    columns, and the right coset stab x^-1 is the set of their inverses."""
     cols = [G.col(h) for h in stab]
-    inv = G.inv_code
-    marked = bytearray(G.order)
+    class_of, inv = G.class_of, G.inv_code
+    ids = {}
+    key_of = [None] * G.order
     reps = []
-    for g in range(G.order):
-        if not marked[g]:
-            reps.append(g)
-            gi = inv[g]
-            for col in cols:
-                marked[inv[col[gi]]] = 1
-    return reps
+    for x in range(G.order):
+        if key_of[x] is None:
+            coset = [col[x] for col in cols]
+            i = ids.setdefault(tuple(sorted([class_of[y] for y in coset])), len(ids))
+            for y in coset:
+                key_of[y] = i
+            reps.append(min(map(inv.__getitem__, coset)))
+    reps.sort()
+    # 2-byte ids: there are at most |G| / |stab| <= ELEMENT_CAP cosets
+    return reps, array("H", key_of), list(ids)
 
 
 def inner_product(alpha, g, chi, G, rep) -> CycloNum:
@@ -413,7 +418,7 @@ def coset_transversal(alpha, G, rep):
     element-code order (one coset per orbit index)."""
     _require_same_group(G, rep)
     elems = G.elements()
-    return [elems[g] for g in _right_coset_reps(G, stabilizer(alpha, G, rep))]
+    return [elems[g] for g in _coset_table(G, stabilizer(alpha, G, rep))[0]]
 
 
 @dataclass
@@ -432,7 +437,8 @@ def gram(alpha, chi, G, rep) -> GramMatrix:
     """Gram matrix of {e*_{alpha.sigma}} over coset representatives; alpha
     must lie in Delta-bar.  Entry (i, j) is chi(e)/|G| times the coset sum
     at code(r_j r_i^-1) = col(code(r_i^-1))[code(r_j)], summed from the
-    scaled class values."""
+    scaled class values.  The representatives and the coset sums read the
+    stabilizer's coset table, built once per group."""
     _require_same_group(G, rep, chi)
     stab = stabilizer(alpha, G, rep)
     scale = Fraction(chi.degree, G.order)
@@ -442,7 +448,7 @@ def gram(alpha, chi, G, rep) -> GramMatrix:
             f"{alpha} is not in Delta-bar for this character; its symmetrized "
             f"tensor vanishes"
         )
-    reps = _right_coset_reps(G, stab)
+    reps = _coset_table(G, stab)[0]
     inv = G.inv_code
     rows = tuple(
         tuple(sums[col[rj]] for rj in reps)

@@ -940,3 +940,85 @@ def test_pipeline_enumerates_the_subgroup_lattice_once(monkeypatch):
     chi = next(chi for chi in chars if chi.degree > 1)
     v = decide_subgroup_criterion(G, rep, chi, 3, subgroup_bound=G.order - 1)
     assert v.status == INCONCLUSIVE and "budget_refused" in v.witness
+
+
+def test_zero_sums_match_cyclonum_sums():
+    # the oracle's zero test on integer vectors against CycloNum addition,
+    # for every class multiset of every stabilizer that occurs at n = 2, 3.
+    # D14's degree-2 characters hold values at conductors 1 and 7, so a
+    # test that summed the stored coefficients unpromoted would fail there
+    from ostar.cyclotomic import CycloNum, _ZeroSums
+
+    mixed = {}
+    outcomes = set()
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        rep = G.natural_rep
+        stabs = {stab for n in (2, 3)
+                 for _, _, stab in _orbit_partition(G, rep, rep.degree, n,
+                                                    DEFAULT_INDEX_BUDGET)}
+        keys = {key for stab in stabs for key in symclass._coset_table(G, stab)[2]}
+        for chi in character_table(G).chars:
+            values = chi.values
+            is_zero = _ZeroSums(values)
+            for key in keys:
+                want = sum(map(values.__getitem__, key), CycloNum.zero()).is_zero()
+                assert is_zero[key] == want, (name, chi.degree, key)
+                outcomes.add(want)
+                if len({values[c].conductor for c in key}) > 1:
+                    mixed[name] = mixed.get(name, 0) + 1
+    assert outcomes == {False, True}
+    assert mixed.get("D14", 0) > 0
+
+
+def test_coset_tables_are_built_once_per_group_and_stabilizer(
+        tmp_path, monkeypatch, capsys):
+    # a stabilizer's coset table depends on neither the character nor the
+    # orbit: decide --verify builds each one once for all characters, where
+    # every character searches it again, and gram and the oracle share them
+    from test_report_bytes import CONFIGS
+
+    from ostar.cli import main
+
+    build = symclass._build_coset_table
+    built, searched = [], []
+    find = decide._find_clique
+
+    def counting_build(G, stab):
+        built.append(stab)
+        return build(G, stab)
+
+    def counting_find(adj, k):
+        searched.append(k)
+        return find(adj, k)
+
+    monkeypatch.setattr(symclass, "_build_coset_table", counting_build)
+    monkeypatch.setattr(decide, "_find_clique", counting_find)
+    wreath = tmp_path / "c2wrc4.json"
+    wreath.write_text('{"wreath": {"A": [2], "H": [4], "omega": 4, '
+                      '"action": "regular"}, "rep": "natural", "n": 2}')
+    order21 = next(p for p in CONFIGS if p.stem == "order21")
+    for config in (order21, wreath):
+        built.clear()
+        searched.clear()
+        assert main(["decide", str(config), "--verify"]) == 0, config
+        capsys.readouterr()
+        assert built and len(set(built)) == len(built), config
+        assert len(searched) > len(built), config
+
+    # D10 at n=3, built fresh so that no earlier test's tables are cached
+    G = dihedral(5)
+    rep = G.natural_rep
+    chars = character_table(G).chars
+    built.clear()
+    grams = 0
+    for chi in chars:
+        for r in orbit_scan(G, rep, chi, rep.degree, 3):
+            if r.in_delta_bar:
+                symclass.gram(r.rep, chi, G, rep)
+                grams += 1
+    assert len(set(built)) == len(built) < grams
+    tables = list(built)
+    for chi in chars:
+        brute_force_verify(G, rep, chi, 3)
+    assert built == tables

@@ -15,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ostar import cli
+from ostar import cli, decide
 from ostar.cli import TASKS, build_job, main, parse_config, report_bytes, run_job
 from ostar.characters import character_table
 from ostar.cyclotomic import CycloNum, cyclo_json, root_of_unity
+from ostar.decide import brute_force_verify
 from ostar.errors import BudgetError
+from ostar.groups import dihedral
 from ostar.symclass import orbit_scan
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
@@ -172,6 +174,53 @@ def test_edited_orbit_report_matches_json_dumps(name):
     rows[0]["s_alpha"] += 5
     rows.append(dict(rows[-1], rep=[9] * len(rows[-1]["rep"])))
     assert report_bytes(report) == reference(report)
+
+
+# -- verify rows spliced from text rendered once per stabilizer -------------
+
+# (group, n, vertex budget) whose verify rows give the writer each shape:
+# Admits rows and NotAdmits rows with clique null (D6 at n=3), one
+# character with two stabilizers of equal s_alpha and different cliques
+# (D8 at n=2), and rows refused by the vertex budget (D8 at n=3)
+VERIFY_JOBS = {
+    "d6-n3": (3, 3, 512),
+    "d8-n2": (4, 2, 512),
+    "d8-n3-vertex2": (4, 3, 2),
+}
+
+
+def verify_rows(name, monkeypatch):
+    """Each character's verify per_orbit rows, where it has any."""
+    s, n, budget = VERIFY_JOBS[name]
+    monkeypatch.setattr(decide, "VERTEX_BUDGET", budget)
+    G = dihedral(s)
+    verdicts = [brute_force_verify(G, G.natural_rep, chi, n)
+                for chi in character_table(G).chars]
+    return [v.per_orbit for v in verdicts if v.per_orbit]
+
+
+def test_verify_jobs_cover_every_row_shape(monkeypatch):
+    rows = {name: verify_rows(name, monkeypatch) for name in VERIFY_JOBS}
+    flat = [row for per_char in rows["d6-n3"] for row in per_char]
+    assert any(row["clique"] is None for row in flat)
+    assert any(row["clique"] is not None for row in flat)
+    assert any(
+        len({repr(row["clique"]) for row in per_char
+             if row["s_alpha"] == s_alpha}) > 1
+        for per_char in rows["d8-n2"] for s_alpha in {r["s_alpha"] for r in per_char})
+    assert any(row.get("budget_exceeded") for per_char in rows["d8-n3-vertex2"]
+               for row in per_char)
+
+
+@pytest.mark.parametrize("name", VERIFY_JOBS)
+def test_verify_rows_match_json_dumps_at_any_depth(name, monkeypatch):
+    rows = verify_rows(name, monkeypatch)
+    assert len(rows) > 1
+    texts = {}  # one rep text cache for all characters, as the CLI shares it
+    wrapped = [cli._VerifyRows(per_char, texts) for per_char in rows]
+    for shape in (lambda r: r[0], lambda r: r[-1], list, lambda r: {"a": r[1]},
+                  lambda r: {"b": [{"c": r[0]}, r[1]], "a": [[r[-1]]]}):
+        assert report_bytes(shape(wrapped)) == reference(shape(rows))
 
 
 # -- chartable values spliced from text rendered once per distinct value ----
