@@ -32,7 +32,6 @@ from .characters import (
     LinearChar,
     character_table,
     char_value_general,
-    cyclic_decomposition,
     dual_group,
     dual_act,
     dual_of_subgroup,

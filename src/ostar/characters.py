@@ -56,7 +56,6 @@ __all__ = [
     "dual_group",
     "dual_act",
     "dual_orbits",
-    "cyclic_decomposition",
     "dual_of_subgroup",
     "irred_chars",
     "char_value_general",
@@ -147,26 +146,22 @@ def dual_orbits(A: AbelianGroup, H: AbelianGroup, phi: ActionHom) -> tuple[DualO
     return tuple(orbits)
 
 
-def cyclic_decomposition(sub, H: AbelianGroup):
+def _decomposition_coords(sub, H: AbelianGroup):
     """Generators and orders presenting a subgroup S of an abelian group as
-    a direct product of cyclic groups.
+    a direct product of cyclic groups, with each element's coordinates
+    along them: (decomposition, coords).
 
     One greedy pass: take the elements of S in (order desc, tuple asc)
     order and adjoin each one whose cyclic span meets the span P so far
-    only in the identity.  The pass never dead-ends.  Say P is a direct
-    summand, S = P + Q, and take a valid candidate y = p + q, k = ord(q).
-    Then k y = k p lies in P & <y> = 0, so ord(y) = ord(q) <= exp(Q).
-    Every q in Q is itself valid, so the first valid candidate has
-    ord(q) = exp(Q).  Then Q = <q> + R, and q -> y extends to an
-    automorphism fixing P + R, so S = P + <y> + R.  One pass is enough,
-    because a rejected candidate stays rejected as P grows.
+    only in the identity, growing the coordinates as P grows.  The pass
+    never dead-ends.  Say P is a direct summand, S = P + Q, and take a
+    valid candidate y = p + q, k = ord(q).  Then k y = k p lies in
+    P & <y> = 0, so ord(y) = ord(q) <= exp(Q).  Every q in Q is itself
+    valid, so the first valid candidate has ord(q) = exp(Q).  Then
+    Q = <q> + R, and q -> y extends to an automorphism fixing P + R, so
+    S = P + <y> + R.  One pass is enough, because a rejected candidate
+    stays rejected as P grows.
     """
-    return _decomposition_coords(sub, H)[0]
-
-
-def _decomposition_coords(sub, H: AbelianGroup):
-    """cyclic_decomposition's pass, which also grows each element's
-    coordinates along the generators: (decomposition, coords)."""
     sub = frozenset(sub)
     ident = H.identity
     dec, coords = [], {ident: ()}

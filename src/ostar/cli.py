@@ -2,11 +2,10 @@
 
 Config and report are JSON; character tables and orbit reports are also
 exportable as CSV.  Reports are byte-identical across repeated runs, and
-run_job returns the same bytes parsed.  The writer splices orbit rows from
-text rendered once per orbit and, for what a character changes in them,
-once per class profile; verify rows from text rendered once per
-stabilizer and once per orbit; and chartable values from text rendered
-once per distinct value.
+run_job returns the same bytes parsed.  A section whose rows share most of
+their text is held as a _Spliced, which writes itself from text rendered
+once per part its rows share (an orbit, a class profile, a stabilizer, a
+distinct value).
 --threads K is accepted and ignored, because the benchmark and existing
 scripts pass it; all work runs in one thread.  Exit codes: 0 ok, 2 config
 invalid or output (a path or stdout) not writable, 3 budget refused, 4
@@ -326,10 +325,8 @@ def run_job(cfg: JobConfig) -> dict:
 
 
 def _run_tasks(cfg, G, rep):
-    """The report, with each character's orbit rows held as an _OrbitRows
-    that report_bytes and the CSV export read, and its verify rows as a
-    _VerifyRows and the chartable values as a _ValueRows that report_bytes
-    reads; only the writer reads any of them."""
+    """The report, with its orbit rows, verify rows and chartable values
+    held as _Spliced sections for report_bytes (see _Spliced)."""
     report = {
         "schema": REPORT_SCHEMA,
         "config": {
@@ -457,41 +454,127 @@ def _run_tasks(cfg, G, rep):
     return report
 
 
-class _OrbitRows:
+class _Spliced:
+    """A report section that writes its own text: write(ind, out) appends
+    to out the pieces of _json_text of the plain list it stands for,
+    spliced from text rendered once per part that its rows share.  Only
+    the writer reads one, and the CSV export an _OrbitRows."""
+
+    __slots__ = ()
+
+
+class _OrbitRows(_Spliced):
     """One character's orbit rows, held as its symclass._profile_scan
     result (parts, ids, values), and texts: the row text that no character
     enters, cached per indent and shared by all characters of one
-    partition.  report_bytes writes them as a list of row dicts with the
+    partition.  They are written as a nonempty list of row dicts with the
     keys rep, orbit_size, stabilizer_order, s_alpha and in_delta_bar, and
-    the CSV export as the scan's OrbitRecords."""
+    exported to CSV as the scan's OrbitRecords."""
 
     __slots__ = ("scan", "texts")
 
     def __init__(self, scan, texts):
         self.scan, self.texts = scan, texts
 
+    def write(self, ind, out):
+        """A row's keys sort as in_delta_bar, orbit_size, rep, s_alpha,
+        stabilizer_order, and only the first and the fourth depend on the
+        character, through the orbit's profile.  So the text is four
+        pieces per orbit after the opening: its boolean, the text up to its
+        integer, its integer, and the text from there to the next row's
+        boolean (the closing, for the last row).  The orbit-only pieces are
+        rendered once per orbit and indent into a list cached in
+        self.texts; each character renders its boolean and integer once per
+        profile, slices them into that list, and appends it to out."""
+        parts, ids, values = self.scan
+        pieces = self.texts.get(ind)
+        if pieces is None:
+            inner = ind + "  "
+            row_inner = inner + "  "
+            sep = "," + row_inner
+            head = "{" + row_inner + '"in_delta_bar": '
+            pieces = self.texts[ind] = [None] * (4 * len(parts) + 1)
+            pieces[0] = "[" + inner + head
+            pieces[2::4] = [f'{sep}"orbit_size": {_int_text(size)}'
+                            f'{sep}"rep": {_ints_text(alpha, row_inner)}{sep}"s_alpha": '
+                            for alpha, size, _ in parts]
+            tails = [f'{sep}"stabilizer_order": {_int_text(len(stab))}{inner}}}'
+                     for _, _, stab in parts]
+            pieces[4::4] = [t + "," + inner + head for t in tails]
+            pieces[-1] = tails[-1] + ind + "]"
+        # every call overwrites all of the character's pieces before appending
+        pieces[1::4] = map(["true" if b else "false" for _, b, _ in values].__getitem__, ids)
+        pieces[3::4] = map([_int_text(s) for _, _, s in values].__getitem__, ids)
+        out += pieces
 
-class _VerifyRows:
-    """One verify verdict's per_orbit rows, held as the list of row dicts
-    that brute_force_verify returns, and texts: the rep text of each alpha,
-    cached per indent and shared by all characters of one partition.
-    report_bytes writes them as that list."""
+
+class _VerifyRows(_Spliced):
+    """One verify verdict's per_orbit rows, held as the nonempty list of
+    row dicts that brute_force_verify returns, and texts: the rep text of
+    each alpha, cached per indent and shared by all characters of one
+    partition.  They are written as that list."""
 
     __slots__ = ("rows", "texts")
 
     def __init__(self, rows, texts):
         self.rows, self.texts = rows, texts
 
+    def write(self, ind, out):
+        """brute_force_verify gives the rows of one stabilizer one clique
+        object, one s_alpha and the same other keys.  So the text of the
+        keys that sort before rep, and of those that sort after it, is
+        rendered once per (clique object, s_alpha, key count), with the
+        list's opening and its separator in front as two variants, and the
+        rep text once per alpha and indent into self.texts."""
+        inner = ind + "  "
+        row_inner = inner + "  "
+        sep = "," + row_inner
+        rep_texts = self.texts.setdefault(ind, {})
+        shared = {}
+        later = 0  # the opening variant for the first row, the separator after
+        for row in self.rows:
+            alpha = row["rep"]
+            key = (id(row["clique"]), row["s_alpha"], len(row))
+            pieces = shared.get(key)
+            if pieces is None:
+                keys = sorted(row)
+                before = "".join(f"{_encode_str(k)}: {_json_text(row[k], row_inner)}{sep}"
+                                 for k in keys if k < "rep")
+                after = "".join(f"{sep}{_encode_str(k)}: {_json_text(row[k], row_inner)}"
+                                for k in keys if k > "rep")
+                head = f'{inner}{{{row_inner}{before}"rep": '
+                pieces = shared[key] = ("[" + head, "," + head, after + inner + "}")
+            rep = tuple(alpha)
+            text = rep_texts.get(rep)
+            if text is None:
+                text = rep_texts[rep] = _ints_text(alpha, row_inner)
+            out += (pieces[later], text, pieces[2])
+            later = 1
+        out.append(ind + "]")
 
-class _ValueRows:
+
+class _ValueRows(_Spliced):
     """The chartable values, held as rows: each character's values tuple
-    of CycloNums, in class order.  report_bytes writes them as lists of
-    cyclo_json dicts."""
+    of CycloNums, in class order.  They are written as lists of cyclo_json
+    dicts."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
         self.rows = rows
+
+    def write(self, ind, out):
+        """cyclo_json reads only a value's conductor, coeffs and den, so
+        each distinct value (see _interned) is rendered once and its text
+        spliced into every cell that holds it."""
+        inner = ind + "  "
+        cell_ind = inner + "  "
+        vals, index = _interned(self.rows)
+        texts = [_json_text(cyclo_json(v), cell_ind) for v in vals]
+        sep = "," + cell_ind
+        rows = [f"[{cell_ind}{sep.join([texts[a] for a in row])}{inner}]" if row else "[]"
+                for row in index]
+        out.append(f"[{inner}{(',' + inner).join(rows)}{ind}]" if rows else "[]")
 
 
 def report_bytes(report: dict) -> bytes:
@@ -499,14 +582,9 @@ def report_bytes(report: dict) -> bytes:
     newline, ASCII-encoded, byte for byte.  With indent set, json.dumps
     runs CPython's pure-Python encoder, which is several times slower than
     writing the same text directly.  Its pieces go into one list, joined
-    once (see _write_json).  The orbit rows of a CLI run (an _OrbitRows)
-    are spliced from text rendered once per orbit and per class profile
-    (see _write_orbit_rows), its verify rows (a _VerifyRows) from text
-    rendered once per stabilizer and per orbit (see _write_verify_rows),
-    and its chartable values (a _ValueRows) from text rendered once per
-    distinct value (see _value_rows_text).  An integer too long for the
-    interpreter's int-to-decimal limit, which json.dumps cannot write
-    either, raises BudgetError."""
+    once (see _write_json), and each _Spliced section writes its own.  An
+    integer too long for the interpreter's int-to-decimal limit, which
+    json.dumps cannot write either, raises BudgetError."""
     out = []
     try:
         _write_json(report, "\n", out)
@@ -528,13 +606,17 @@ def _json_text(o, ind):
     return "".join(out)
 
 
+def _ints_text(ints, ind):
+    """_json_text of a nonempty list or tuple of plain ints."""
+    inner = ind + "  "
+    return "".join(("[", inner, ("," + inner).join(map(_int_text, ints)), ind, "]"))
+
+
 def _write_json(o, ind, out):
     """Append the pieces of _json_text(o, ind) to out, so that a report is
-    joined once, not once per level of nesting.  The orbit rows of a CLI
-    run (an _OrbitRows) are written by _write_orbit_rows, its verify rows
-    (a _VerifyRows) by _write_verify_rows, and its chartable values (a
-    _ValueRows) by _value_rows_text.  Reports hold only strings, integers,
-    booleans, None, lists, tuples and dicts with string keys; anything
+    joined once, not once per level of nesting.  A _Spliced section writes
+    its own pieces; besides those, reports hold only strings, integers,
+    booleans, None, lists, tuples and dicts with string keys, and anything
     else raises TypeError naming its type."""
     if isinstance(o, str):
         out.append(_encode_str(o))
@@ -546,20 +628,13 @@ def _write_json(o, ind, out):
         out.append("false")
     elif isinstance(o, int):
         out.append(_int_text(o))
-    elif type(o) is _OrbitRows:
-        _write_orbit_rows(o, ind, out)
-    elif type(o) is _VerifyRows:
-        _write_verify_rows(o, ind, out)
-    elif type(o) is _ValueRows:
-        out.append(_value_rows_text(o, ind))
     elif isinstance(o, (list, tuple)):
-        inner = ind + "  "
         if not o:
             out.append("[]")
         elif all(type(v) is int for v in o):
-            out.append("".join(("[", inner, ("," + inner).join(map(_int_text, o)),
-                                ind, "]")))
+            out.append(_ints_text(o, ind))
         else:
+            inner = ind + "  "
             sep = "," + inner
             out.append("[" + inner)
             for i, v in enumerate(o):
@@ -580,86 +655,10 @@ def _write_json(o, ind, out):
                 head = "," + inner
                 _write_json(v, inner, out)
             out.append(ind + "}")
+    elif isinstance(o, _Spliced):
+        o.write(ind, out)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _write_orbit_rows(rows, ind, out):
-    """_write_json of a nonempty _OrbitRows.  A row's keys sort as
-    in_delta_bar, orbit_size, rep, s_alpha, stabilizer_order, and only the
-    first and the fourth depend on the character, through the orbit's
-    profile.  So the text is four pieces per orbit after the opening: its
-    boolean, the text up to its integer, its integer, and the text from
-    there to the next row's boolean (the closing, for the last row).  The
-    orbit-only pieces are rendered once per orbit and indent into a list
-    cached in rows.texts; each character renders its boolean and integer
-    once per profile, slices them into that list, and appends it to out."""
-    parts, ids, values = rows.scan
-    pieces = rows.texts.get(ind)
-    if pieces is None:
-        inner = ind + "  "
-        row_inner = inner + "  "
-        sep = "," + row_inner
-        head = "{" + row_inner + '"in_delta_bar": '
-        pieces = rows.texts[ind] = [None] * (4 * len(parts) + 1)
-        pieces[0] = "[" + inner + head
-        pieces[2::4] = [f'{sep}"orbit_size": {_int_text(size)}'
-                        f'{sep}"rep": {_json_text(alpha, row_inner)}{sep}"s_alpha": '
-                        for alpha, size, _ in parts]
-        tails = [f'{sep}"stabilizer_order": {_int_text(len(stab))}{inner}}}'
-                 for _, _, stab in parts]
-        pieces[4::4] = [t + "," + inner + head for t in tails]
-        pieces[-1] = tails[-1] + ind + "]"
-    # every call overwrites all of the character's pieces before appending
-    pieces[1::4] = map(["true" if b else "false" for _, b, _ in values].__getitem__, ids)
-    pieces[3::4] = map([_int_text(s) for _, _, s in values].__getitem__, ids)
-    out += pieces
-
-
-def _write_verify_rows(rows, ind, out):
-    """_write_json of a nonempty _VerifyRows.  A row's keys sort as
-    budget_exceeded (on refused rows only), clique, rep, s_alpha, and
-    brute_force_verify gives the rows of one stabilizer one clique object
-    and one s_alpha.  So the text before "rep": and the text after it are
-    rendered once per (clique object, s_alpha, key count), and the rep
-    text once per alpha and indent into rows.texts."""
-    inner = ind + "  "
-    row_inner = inner + "  "
-    sep = "," + row_inner
-    rep_texts = rows.texts.setdefault(ind, {})
-    shared = {}
-    out.append("[" + inner)
-    for row in rows.rows:
-        s_alpha, alpha = row["s_alpha"], row["rep"]
-        key = (id(row["clique"]), s_alpha, len(row))
-        pieces = shared.get(key)
-        if pieces is None:
-            head = "".join(f'"{k}": {_json_text(row[k], row_inner)}{sep}'
-                           for k in ("budget_exceeded", "clique") if k in row)
-            pieces = shared[key] = (
-                f'{{{row_inner}{head}"rep": ',
-                f'{sep}"s_alpha": {_int_text(s_alpha)}{inner}}},{inner}',
-            )
-        rep = tuple(alpha)
-        text = rep_texts.get(rep)
-        if text is None:
-            text = rep_texts[rep] = _json_text(alpha, row_inner)
-        out += (pieces[0], text, pieces[1])
-    out[-1] = out[-1][: -len(inner) - 1] + ind + "]"
-
-
-def _value_rows_text(values, ind):
-    """_json_text of a _ValueRows.  cyclo_json reads only a value's
-    conductor, coeffs and den, so each distinct value (see _interned) is
-    rendered once and its text spliced into every cell that holds it."""
-    inner = ind + "  "
-    cell_ind = inner + "  "
-    vals, index = _interned(values.rows)
-    texts = [_json_text(cyclo_json(v), cell_ind) for v in vals]
-    sep = "," + cell_ind
-    rows = [f"[{cell_ind}{sep.join([texts[a] for a in row])}{inner}]" if row else "[]"
-            for row in index]
-    return f"[{inner}{(',' + inner).join(rows)}{ind}]" if rows else "[]"
 
 
 def _write_csv_outputs(cfg, G, report, out_path: Path) -> list:

@@ -6,9 +6,11 @@ comparison); the only tolerances are the wall-clock bounds on the family
 runs.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from functools import lru_cache
 
 from ostar.characters import character_table, zero_set
@@ -156,6 +158,35 @@ def test_criterion_4_orbital_dimension_consistency():
         assert checked >= 80
 
 
+def integer_coords(tensors):
+    """The coordinates of sparse tensors as integer polynomials in zeta_N
+    over one denominator D: (N, D, one {b: [(exponent, numerator)]} per
+    tensor), where zeta_c^k at conductor c is zeta_N^(k N / c)."""
+    values = [v for t in tensors for v in t.values()]
+    N = math.lcm(*(v.conductor for v in values))
+    D = math.lcm(*(v.den for v in values))
+    return N, D, [
+        {b: [(k * (N // v.conductor), c * (D // v.den))
+             for k, c in enumerate(v.coeffs) if c]
+         for b, v in t.items()}
+        for t in tensors
+    ]
+
+
+def inner_numerators(x, y, N):
+    """The inner product of two tensors from integer_coords, conjugate-linear
+    in the first, written out coordinate by coordinate: its numerators over
+    D^2 at the powers of zeta_N, as an integer polynomial mod x^N - 1."""
+    acc = [0] * N
+    for b, xs in x.items():
+        ys = y.get(b)
+        if ys is not None:
+            for p, a in xs:
+                for q, c in ys:
+                    acc[(q - p) % N] += a * c
+    return acc
+
+
 def test_criterion_5_gram_oracle_equivalence():
     with criterion(5, "Gram entries equal explicit-tensor inner products and "
                       "the exact rank equals s_alpha on every Delta-bar orbit"):
@@ -174,19 +205,15 @@ def test_criterion_5_gram_oracle_equivalence():
                                 act(r.rep, g, rep), chi, G, rep)
                             for g in gm.coset_reps
                         ]
-                        # inner products conjugate-linear in the first slot,
-                        # written out coordinate by coordinate
-                        conj = [
-                            {b: v.conj() for b, v in t.items()} for t in tensors
-                        ]
-                        for i, tci in enumerate(conj):
-                            for j, tj in enumerate(tensors):
-                                acc = CycloNum.zero()
-                                for b, x in tci.items():
-                                    y = tj.get(b)
-                                    if y is not None:
-                                        acc = acc + x * y
-                                assert gm.entries[i][j] == acc, (name, n, r.rep)
+                        # the (j, i) entry is the conjugate of the (i, j) one
+                        N, D, coords = integer_coords(tensors)
+                        for i, x in enumerate(coords):
+                            for j in range(i, len(coords)):
+                                entry = CycloNum.from_coeffs(
+                                    N, inner_numerators(x, coords[j], N)
+                                ) * Fraction(1, D * D)
+                                assert gm.entries[i][j] == entry, (name, n, r.rep)
+                                assert gm.entries[j][i] == entry.conj(), (name, n, r.rep)
                         assert gm.rank() == r.s_alpha, (name, n, r.rep)
 
 

@@ -10,7 +10,9 @@ the representation on the points of A for order at most 36.
 
 Regular-action wreath products and seeded named-family members of order at
 most 64 are swept too, under their natural representation and under it
-padded by one fixed point, wherever n^m stays small.  In every case the
+padded by one fixed point, wherever n^m stays small, and so are four
+groups whose action is a matrix that no power map gives (A4, AGL(1, 8),
+C3^2 x| C4 and AGL(1, 9)) on the points of A.  In every case the
 main theorem, the subgroup criterion and the brute-force oracle must agree
 whenever both sides of a comparison are conclusive.
 """
@@ -20,7 +22,7 @@ import random
 
 import pytest
 
-from ostar.characters import character_table
+from ostar.characters import char_value_general, character_table
 from ostar.decide import (
     INCONCLUSIVE,
     brute_force_verify,
@@ -190,3 +192,39 @@ def test_power_actions_cover_nonabelian_cases():
     rng = random.Random(0)
     groups = sample_groups(0, count=12, max_order=12)
     assert any(not G.is_abelian() for G in groups)
+
+
+# groups whose H acts on A by a matrix that no power map gives: the cyclic
+# H's generator sends the generators of A to the images listed
+MATRIX_ACTIONS = {
+    # A4 = C2^2 x| C3: e1 -> e2, e2 -> e1 + e2
+    "A4": ([2, 2], [3], [(0, 1), (1, 1)]),
+    # AGL(1, 8) = C2^3 x| C7: x times GF(8) = F2[x]/(x^3 + x + 1), the
+    # companion matrix of x^3 + x + 1
+    "AGL(1,8)": ([2, 2, 2], [7], [(0, 1, 0), (0, 0, 1), (1, 1, 0)]),
+    # C3^2 x| C4: (x, y) -> (-y, x)
+    "C3^2:C4": ([3, 3], [4], [(0, 1), (2, 0)]),
+    # AGL(1, 9) = C3^2 x| C8: 1 + i times GF(9) = F3[i]/(i^2 + 1), a
+    # generator of GF(9)*
+    "AGL(1,9)": ([3, 3], [8], [(1, 1), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_ACTIONS)
+def test_actions_that_are_not_power_maps(name):
+    a_factors, h_factors, images = MATRIX_ACTIONS[name]
+    A, H = AbelianGroup(a_factors), AbelianGroup(h_factors)
+    assert all(list(images) != [A.mul_scalar(k, g) for g in A.generators()]
+               for k in range(A.exponent))
+    G = SemidirectGroup(A, H, ActionHom(H, A, (Automorphism(A, images),)))
+    assert G.order == A.order * H.order and not G.is_abelian()
+    table = character_table(G)
+    assert table.report.ok, (name, table.report.failures)
+    for chi in table.chars:
+        for g in G.elements():
+            assert chi.value(g) == char_value_general(chi, g), (name, g)
+    rep = points_rep(G)
+    cases = [n for n in (2, 3) if n**rep.degree <= INDEX_BOUND]
+    assert cases
+    for n in cases:
+        assert_pipeline_agrees(G, rep, n)

@@ -223,6 +223,22 @@ def test_verify_rows_match_json_dumps_at_any_depth(name, monkeypatch):
         assert report_bytes(shape(wrapped)) == reference(shape(rows))
 
 
+@pytest.mark.parametrize("name", VERIFY_JOBS)
+def test_verify_rows_write_keys_around_rep(name, monkeypatch):
+    # two keys the oracle does not write, shared by the rows of one
+    # stabilizer like its own: one sorting before rep, one after it
+    rows = verify_rows(name, monkeypatch)
+    for per_char in rows:
+        for row in per_char:
+            row["a_extra"] = {"s": row["s_alpha"], "flags": [True, None]}
+            row["z_extra"] = [row["s_alpha"], "z"]
+    texts = {}
+    wrapped = [cli._VerifyRows(per_char, texts) for per_char in rows]
+    for shape in (lambda r: r[0], lambda r: r[-1], list, lambda r: {"a": r[1]},
+                  lambda r: {"b": [{"c": r[0]}, r[1]], "a": [[r[-1]]]}):
+        assert report_bytes(shape(wrapped)) == reference(shape(rows))
+
+
 # -- chartable values spliced from text rendered once per distinct value ----
 
 # the bench's four chartable groups, whose tables repeat few values
