@@ -336,6 +336,7 @@ class SemidirectGroup:
         self._class_of = None
         self._cols = {}
         self._coset_tables = {}  # symclass._coset_table, per subgroup
+        self._grams = {}  # symclass.gram, per (subgroup, character)
         self._char_table = None
         self._subgroups = None
 

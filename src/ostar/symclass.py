@@ -16,7 +16,7 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import eq
@@ -421,16 +421,21 @@ def coset_transversal(alpha, G, rep):
     return [elems[g] for g in _coset_table(G, stabilizer(alpha, G, rep))[0]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
     """Exact Gram matrix of the symmetrized tensors over the right cosets
-    of the stabilizer of one multi-index."""
+    of the stabilizer of one multi-index.  gram shares one per (character,
+    stabilizer), so it is frozen; rank() certifies the rank on its first
+    call and returns the stored int after that."""
 
     coset_reps: tuple
     entries: tuple
+    _rank: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def rank(self) -> int:
-        return cyclo_rank(self.entries)
+        if self._rank is None:
+            object.__setattr__(self, "_rank", cyclo_rank(self.entries))
+        return self._rank
 
 
 def gram(alpha, chi, G, rep) -> GramMatrix:
@@ -438,9 +443,19 @@ def gram(alpha, chi, G, rep) -> GramMatrix:
     must lie in Delta-bar.  Entry (i, j) is chi(e)/|G| times the coset sum
     at code(r_j r_i^-1) = col(code(r_i^-1))[code(r_j)], summed from the
     scaled class values.  The representatives and the coset sums read the
-    stabilizer's coset table, built once per group."""
+    stabilizer's coset table, built once per group.
+
+    The matrix depends only on chi and the stabilizer, so every alpha with
+    one stabilizer gets the same GramMatrix, built on first use and cached
+    on G, and its rank() is certified once.  The group checks run on every
+    call; only Delta-bar stabilizers are cached, so an alpha outside
+    Delta-bar misses the cache and is refused on every call."""
     _require_same_group(G, rep, chi)
     stab = stabilizer(alpha, G, rep)
+    key = (stab, chi)
+    gm = G._grams.get(key)
+    if gm is not None:
+        return gm
     scale = Fraction(chi.degree, G.order)
     sums = _coset_sums([v * scale for v in chi.values], G, stab)
     if sums[0].is_zero():  # code 0 is the identity
@@ -455,7 +470,8 @@ def gram(alpha, chi, G, rep) -> GramMatrix:
         for col in (G.col(inv[ri]) for ri in reps)
     )
     elems = G.elements()
-    return GramMatrix(tuple(elems[r] for r in reps), rows)
+    gm = G._grams[key] = GramMatrix(tuple(elems[r] for r in reps), rows)
+    return gm
 
 
 def cyclo_rank(rows) -> int:

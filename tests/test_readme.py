@@ -38,6 +38,7 @@ def test_readme_examples_run_as_stated(tmp_path, monkeypatch):
     assert values["decide_main_theorem(G, rep, chi, n=3)"].status == NOT_ADMITS
     assert values["brute_force_verify(G, rep, chi, n=2)"].status == NOT_ADMITS
     assert values["gram((1, 1, 2), chi, G, rep).rank()"] == 2
+    assert values["gram((2, 2, 1), chi, G, rep) is gram((1, 1, 2), chi, G, rep)"]
     assert namespace["stab"] == (0, 5)
     assert values["[G.elements()[c] for c in stab]"] == [((0,), (0,)), ((2,), (1,))]
 

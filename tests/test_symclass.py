@@ -6,8 +6,10 @@ recomputed directly, then compared against the closed-form stabilizer sums.
 """
 
 import copy
+import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -460,6 +462,101 @@ def test_gram_ranks_match_tuple_reference():
                 if r.in_delta_bar:
                     _, rows = reference_gram_entries(r.rep, chi, G, rep)
                     assert gram(r.rep, chi, G, rep).rank() == cyclo_rank(rows) == r.s_alpha
+
+
+def gram_cache_cases():
+    """(label, G, rep): the table suite's natural reps, then a fresh D10
+    under its natural rep, as the bench's Gram jobs build it, so its Gram
+    cache starts empty."""
+    for name in TABLE_SUITE:
+        G = suite_group(name)
+        yield name, G, G.natural_rep
+    D10 = dihedral(5)
+    yield "D10 bench", D10, D10.natural_rep
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gram_cache_matches_reference_at_every_orbit(n):
+    # gram shares one matrix per (character, stabilizer); every Delta-bar
+    # alpha is checked, not one per stabilizer.  The tuple reference
+    # depends on alpha only through its stabilizer (the transversal's
+    # cosets G_alpha g are the orbit's points alpha.g), so it is built once
+    # per (reference stabilizer, character), and a matrix already compared
+    # with that reference in full passes by identity
+    checked = 0
+    for label, G, rep in gram_cache_cases():
+        stabs = {}
+        for chi in character_table(G).chars:
+            refs = {}
+            for r in orbit_scan(G, rep, chi, rep.degree, n):
+                if not r.in_delta_bar:
+                    continue
+                alpha = r.rep
+                gm = gram(alpha, chi, G, rep)
+                stab = stabs.get(alpha)
+                if stab is None:
+                    stab = stabs[alpha] = reference_stabilizer(alpha, G, rep)
+                ref = refs.get(stab)
+                if ref is None:
+                    reps, rows = reference_gram_entries(alpha, chi, G, rep)
+                    ref = refs[stab] = [reps, rows, cyclo_rank(rows), None]
+                reps, rows, rank, seen = ref
+                if gm is not seen:
+                    assert gm.coset_reps == reps, (label, n, alpha)
+                    assert gm.entries == rows, (label, n, alpha)
+                    ref[3] = gm
+                assert gm.rank() == rank == r.s_alpha, (label, n, alpha)
+                checked += 1
+    assert checked > 0
+
+
+def test_gram_cache_contract(monkeypatch):
+    G = dihedral(5)  # built here, so its Gram cache starts empty
+    rep = G.natural_rep
+    chars = character_table(G).chars
+    chi, other_chi = chars[-1], chars[-2]
+    assert chi.degree == other_chi.degree == 2
+    by_stab = {}
+    for r in orbit_scan(G, rep, chi, 5, 3):
+        if r.in_delta_bar:
+            by_stab.setdefault(r.stabilizer, []).append(r.rep)
+    alpha, beta = next(a for a in by_stab.values() if len(a) > 1)[:2]
+
+    # one object per (character, stabilizer), its rank certified once
+    ranks = []
+    monkeypatch.setattr(symclass, "cyclo_rank",
+                        lambda rows: ranks.append(rows) or cyclo_rank(rows))
+    gm = gram(alpha, chi, G, rep)
+    assert gram(beta, chi, G, rep) is gm
+    assert gm.rank() == gram(beta, chi, G, rep).rank() == cyclo_rank(gm.entries)
+    assert len(ranks) == 1
+    assert gram(alpha, other_chi, G, rep) is not gm
+    for name in ("coset_reps", "entries"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gm, name, ())
+
+    # after a cache hit, a foreign representation or character is refused
+    H = dihedral(5)
+    with pytest.raises(ValueError, match="representation"):
+        gram(alpha, chi, G, H.natural_rep)
+    with pytest.raises(ValueError, match="character"):
+        gram(alpha, character_table(H).chars[-1], G, rep)
+
+    # an alpha outside Delta-bar is refused on every call, and its
+    # stabilizer is never cached
+    outside = (1, 1, 1, 1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(str(outside))):
+            gram(outside, chi, G, rep)
+    assert (stabilizer(outside, G, rep), chi) not in G._grams
+
+    # one matrix per distinct (stabilizer, character) asked for
+    asked = {(s, chi) for s in by_stab}
+    for alphas in by_stab.values():
+        for a in alphas:
+            gram(a, chi, G, rep)
+    asked.add((stabilizer(alpha, G, rep), other_chi))
+    assert set(G._grams) == asked
 
 
 def orbit_scan_per_element(G, rep, chi, m, n):
